@@ -1,7 +1,9 @@
-//! Ablation sweeps over the design choices DESIGN.md calls out. Each
-//! "benchmark" runs the figure model at several settings of one knob and
-//! prints the resulting series, so the sensitivity of the reproduced
-//! curves is itself a recorded artifact.
+//! Ablation sweeps over the influential calibrated constants and design
+//! choices of the figure reproductions (`docs/REPRODUCING.md`; the
+//! constants live in `experiments::constants`). Each "benchmark" runs the
+//! figure model at several settings of one knob and prints the resulting
+//! series, so the sensitivity of the reproduced curves is itself a
+//! recorded artifact.
 //!
 //! * placement policy × {round-robin, least-loaded, random, sticky};
 //! * HDFS placement stickiness (Fig. 3(b)'s magnitude driver);

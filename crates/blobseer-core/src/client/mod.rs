@@ -57,10 +57,10 @@
 //! **The vectored methods and the migration path.** The client's hot paths
 //! call the *vectored* store methods — `put_many`/`get_many`/`delete_many`
 //! on [`crate::ports::BlockStore`] (one batch per data provider) and
-//! [`crate::ports::MetaStore`] (one batch per tree level) — with per-item
-//! `Result`s, so a write's data phase, a publish, a descent and a GC
-//! cascade each cost O(levels + providers) backend calls rather than
-//! O(blocks + nodes). A new adapter does **not** have to implement them:
+//! [`crate::ports::MetaStore`] (one batch per publish or descent level) —
+//! with per-item `Result`s, so a write's data phase, a publish, a descent
+//! and a GC cascade each cost O(levels + providers) backend calls rather
+//! than O(blocks + nodes). A new adapter does **not** have to implement them:
 //! every vectored method defaults to looping over its single-item
 //! sibling, so step 1 above is still "implement `put`/`get`/`delete`" and
 //! the protocol works immediately, just without amortization. Once the

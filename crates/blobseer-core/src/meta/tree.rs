@@ -44,7 +44,7 @@ enum LeafMode<'a> {
 }
 
 /// Per-publish state threaded through the [`TreeStore::build`] recursion:
-/// what is being published, and the per-depth node batches it produces.
+/// what is being published, and the nodes it produces, grouped by depth.
 struct BuildCx<'a, 'b> {
     blob: BlobId,
     entry: &'a LogEntry,
@@ -68,40 +68,40 @@ pub struct TreeStore<'a> {
 }
 
 impl<'a> TreeStore<'a> {
-    /// One level's vectored put, fanned out across the backend's
+    /// One publish batch's vectored put, fanned out across the backend's
     /// independently reachable DHT shards ([`MetaStore::fanout_shard`];
-    /// single-endpoint backends keep exactly one `put_many` per level).
-    /// Results come back in input order.
-    fn put_level(&self, level: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        let groups = group_indices_by(level.iter().map(|(key, _)| *key), |key| {
+    /// single-endpoint backends get exactly one `put_many`). Results come
+    /// back in input order.
+    fn put_batch(&self, batch: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        let groups = group_indices_by(batch.iter().map(|(key, _)| *key), |key| {
             self.dht.fanout_shard(key)
         });
         self.stats.record_fanout(groups.len());
         if groups.len() <= 1 {
-            return self.dht.put_many(level);
+            return self.dht.put_many(batch);
         }
         let jobs: Vec<_> = groups
             .iter()
             .map(|(_, indices)| {
                 let dht = Arc::clone(self.dht);
                 let items: Vec<(NodeKey, TreeNode)> =
-                    indices.iter().map(|&i| level[i].clone()).collect();
+                    indices.iter().map(|&i| batch[i].clone()).collect();
                 move || dht.put_many(&items)
             })
             .collect();
-        let mut out: Vec<Option<Result<()>>> = (0..level.len()).map(|_| None).collect();
+        let mut out: Vec<Option<Result<()>>> = (0..batch.len()).map(|_| None).collect();
         for ((_, indices), results) in groups.iter().zip(self.exec.fanout(jobs)) {
             for (&i, result) in indices.iter().zip(results) {
                 out[i] = Some(result);
             }
         }
         out.into_iter()
-            .map(|slot| slot.expect("every level item grouped exactly once")) // lint:allow(no-unwrap): grouping assigns each item to exactly one slot
+            .map(|slot| slot.expect("every batch item grouped exactly once")) // lint:allow(no-unwrap): grouping assigns each item to exactly one slot
             .collect()
     }
 
     /// One level's vectored fetch, fanned out across DHT shards like
-    /// [`Self::put_level`]. Results come back in input order.
+    /// [`Self::put_batch`]. Results come back in input order.
     fn get_level(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
         let groups = group_indices_by(keys.iter().copied(), |key| self.dht.fanout_shard(key));
         self.stats.record_fanout(groups.len());
@@ -130,9 +130,10 @@ impl<'a> TreeStore<'a> {
     /// index in `entry.blocks` to its descriptor. Returns the new root key.
     ///
     /// Fails when the backend rejects a node put (a conflicting re-put —
-    /// [`Error::MetadataConflict`] — or an injected fault); nodes already
-    /// published stay in place, exactly like a writer that crashed halfway
-    /// through its metadata phase (§VI-B).
+    /// [`Error::MetadataConflict`] — or an injected fault); the nodes that
+    /// did land stay in place, exactly like a writer that crashed halfway
+    /// through its metadata phase (§VI-B), and no GC reference is counted
+    /// for them.
     pub fn publish_write(
         &self,
         blob: BlobId,
@@ -193,57 +194,60 @@ impl<'a> TreeStore<'a> {
                 version: entry.version
             })
         );
-        // Count every child reference the new tree will hold *before* any
-        // node is published: if a node lands in the DHT, its references are
-        // already protected from a concurrent collection wave.
-        if !cx.incs.is_empty() {
-            self.gc.inc_nodes(&cx.incs)?;
-        }
-        let levels = cx.levels;
-        // Publish one vectored put per level, deepest first: children land
-        // before the parents that reference them, exactly like the old
-        // node-at-a-time post-order publish, but a remote backend now pays
-        // one round trip per level instead of one per node — and backends
-        // with independently reachable shards split each level's put
-        // across them concurrently (put_level). The level barrier stays: a
-        // parent level is only dispatched once the whole child level
-        // settled. A failed item leaves already-published nodes in place
-        // (the crashed-writer shape of §VI-B).
+        let BuildCx { levels, incs, .. } = cx;
+        // Publish the whole tree as one batch — one `put_many` per
+        // reachable DHT shard, so a single-endpoint backend pays one round
+        // trip per publish. No level barrier is needed: a version's nodes
+        // are unreachable until the version manager reveals it, which
+        // happens only after this publish returned (§III-A.5), so readers
+        // never depend on the order nodes land in. The levels are still
+        // concatenated deepest first, so a backend that applies a batch
+        // sequentially lands children before the parents that reference
+        // them. A failed item leaves an arbitrary subset of the other
+        // nodes in place (the crashed-writer shape of §VI-B).
+        let batch: Vec<(NodeKey, TreeNode)> = levels.into_iter().rev().flatten().collect();
         let is_repair = matches!(mode, LeafMode::Repair);
-        for level in levels.iter().rev() {
-            let mut first_err = None;
-            let mut conflicts: Vec<usize> = Vec::new();
-            for (i, result) in self.put_level(level).into_iter().enumerate() {
+        let mut first_err = None;
+        let mut conflicts: Vec<usize> = Vec::new();
+        for (i, result) in self.put_batch(&batch).into_iter().enumerate() {
+            match result {
+                Ok(()) => EngineStats::add(&self.stats.meta_nodes_written, 1),
+                Err(Error::MetadataConflict(_)) if is_repair => conflicts.push(i),
+                Err(e) if first_err.is_none() => first_err = Some(e),
+                Err(_) => {}
+            }
+        }
+        // A repair owns its version's keys — no other writer ever
+        // publishes under this (blob, version). A conflicting node at one
+        // of them is a remnant of the aborted attempt, which may have
+        // landed any subset of its batch: force-replace it with the alias
+        // metadata, or a transiently refused put would strand the version
+        // forever behind its own half-published tree.
+        if !conflicts.is_empty() {
+            let keys: Vec<NodeKey> = conflicts.iter().map(|&i| batch[i].0).collect();
+            let _ = self.dht.delete_many(&keys);
+            let retry: Vec<(NodeKey, TreeNode)> =
+                conflicts.iter().map(|&i| batch[i].clone()).collect();
+            for result in self.dht.put_many(&retry) {
                 match result {
                     Ok(()) => EngineStats::add(&self.stats.meta_nodes_written, 1),
-                    Err(Error::MetadataConflict(_)) if is_repair => conflicts.push(i),
                     Err(e) if first_err.is_none() => first_err = Some(e),
                     Err(_) => {}
                 }
             }
-            // A repair owns its version's keys — no other writer ever
-            // publishes under this (blob, version). A conflicting node at
-            // one of them is a remnant of the aborted attempt (a batched
-            // publish fails per item, so sibling nodes of the failed one
-            // may have landed): force-replace it with the alias metadata,
-            // or a transiently refused put would strand the version
-            // forever behind its own half-published tree.
-            if !conflicts.is_empty() {
-                let keys: Vec<NodeKey> = conflicts.iter().map(|&i| level[i].0).collect();
-                let _ = self.dht.delete_many(&keys);
-                let retry: Vec<(NodeKey, TreeNode)> =
-                    conflicts.iter().map(|&i| level[i].clone()).collect();
-                for result in self.dht.put_many(&retry) {
-                    match result {
-                        Ok(()) => EngineStats::add(&self.stats.meta_nodes_written, 1),
-                        Err(e) if first_err.is_none() => first_err = Some(e),
-                        Err(_) => {}
-                    }
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
+        }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        // Count the child references only once the whole tree landed, so
+        // every version's edges are counted exactly once: an aborted
+        // attempt counts nothing, and the repair that replaces it counts
+        // its own tree. Nothing is lost by counting late — the tree is
+        // unreachable until its version is revealed, and every older node
+        // it weaves in stays referenced by the latest revealed snapshot
+        // (never collected) or by an unrevealed lower version.
+        if !incs.is_empty() {
+            self.gc.inc_nodes(&incs)?;
         }
         Ok(NodeKey::new(blob, entry.version, root))
     }

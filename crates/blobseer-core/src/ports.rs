@@ -41,12 +41,13 @@
 //! The store traits are **vectored**: alongside the single-item methods,
 //! [`BlockStore`] and [`MetaStore`] expose `put_many`/`get_many`/
 //! `delete_many` with per-item `Result`s — batches grouped by data
-//! provider for blocks, whole tree levels for metadata. The protocol's
-//! hot paths issue batches (the §III-D data phase puts one batch per
-//! provider, metadata publish pushes one batch per tree level, the §III-C
-//! descent fetches one batch per level, GC releases whole cascade waves),
-//! so a remote backend pays O(levels + providers) round trips per
-//! operation instead of O(blocks + nodes). Every vectored method has a
+//! provider for blocks, a whole new subtree or one descent level for
+//! metadata. The protocol's hot paths issue batches (the §III-D data
+//! phase puts one batch per provider, metadata publish pushes a version's
+//! whole new subtree in one batch, the §III-C descent fetches one batch
+//! per level, GC releases whole cascade waves), so a remote backend pays
+//! O(providers) round trips per write and O(levels + providers) per read
+//! instead of O(blocks + nodes). Every vectored method has a
 //! default implementation looping over its single-item sibling, so
 //! third-party adapters keep working unchanged — native adapters override
 //! them (the lock-striped stores take each stripe's lock once per batch;
@@ -215,8 +216,8 @@ pub trait MetaStore: Send + Sync {
     fn delete(&self, key: &NodeKey) -> bool;
 
     /// Stores a batch of nodes with per-item results in input order — how
-    /// a writer publishes a whole tree level in one call (§III-D publishes
-    /// a version's nodes in parallel). A backend may fail a subset (e.g. a
+    /// a writer publishes its version's whole new subtree in one call
+    /// (§III-D publishes a version's nodes in parallel). A backend may fail a subset (e.g. a
     /// per-item [`blobseer_types::Error::MetadataConflict`]) while the
     /// rest land. Default: loops over [`Self::put`], so third-party
     /// adapters keep working unchanged.
@@ -244,8 +245,9 @@ pub trait MetaStore: Send + Sync {
     /// Stable shard index for client-side fan-out grouping: keys mapping
     /// to different indices may be batched and issued *concurrently* by
     /// the fan-out executor. Default: every key maps to group `0`, i.e.
-    /// one batch per tree level — correct for single-endpoint backends
-    /// (the RPC adapters: one socket pool, one frame per level) and for
+    /// one batch per publish or descent level — correct for
+    /// single-endpoint backends (the RPC adapters: one socket pool, one
+    /// frame per batch) and for
     /// decorators that must preserve their inner call structure (the
     /// SimGate charging adapters' cost model counts `put_many` calls).
     /// Only backends whose shards are independently reachable (the

@@ -44,7 +44,7 @@ pub struct EngineStats {
     /// Control-plane round trips issued by remote placement/GC adapters
     /// (one per request frame to the hosted provider manager or GC
     /// service). Kept separate from `port_round_trips` so the data-path
-    /// frame invariants (14 frames per 64-block write, 13 per read —
+    /// frame invariants (8 frames per 64-block write, 13 per read —
     /// `tests/rpc_cluster.rs`) stay meaningful: a clean write costs
     /// exactly 3 control frames (allocate, child refcounts, root
     /// registration) and a read costs 0.

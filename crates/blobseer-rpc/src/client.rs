@@ -61,7 +61,7 @@ use std::time::Duration;
 /// Max items per vectored *metadata* frame. Tree nodes and node keys are
 /// tens of bytes, so this bounds both request and response frames to a
 /// few MB — far under [`wire::MAX_FRAME_LEN`] — while still collapsing
-/// any realistic tree level into one round trip.
+/// any realistic publish batch or descent level into one round trip.
 const META_BATCH_MAX: usize = 65_536;
 
 /// Counts a diagnostic degradation (a non-`Result` port method answering
@@ -190,7 +190,8 @@ impl MuxConn {
 /// Exits on EOF or a transport error — marking the connection dead first,
 /// so idle death (a server restart) is already known the next time the
 /// pool considers this connection.
-fn demux_loop(mut stream: TcpStream, conn: &MuxConn) {
+fn demux_loop(stream: TcpStream, conn: &MuxConn) {
+    let mut stream = wire::FrameReader::new(stream);
     loop {
         match wire::read_frame(&mut stream) {
             Ok(Some((id, body))) => {
@@ -232,7 +233,7 @@ pub(crate) struct MuxPool {
     /// `port_round_trips` — the client-side round-trip meter the batching
     /// tests assert on — or `control_round_trips` for a control-plane
     /// pool (placement and GC traffic is metered separately from the
-    /// data path, so the 14/13 frame-count invariants stay untouched).
+    /// data path, so the 8/13 frame-count invariants stay untouched).
     stats: Arc<EngineStats>,
     /// Control-plane pools meter on `control_round_trips`.
     control: bool,
@@ -853,8 +854,8 @@ impl MetaStore for RpcMetaStore {
         }
     }
 
-    /// One frame per batch: how a writer publishes a whole tree level in a
-    /// single round trip. Per-item failures (e.g. a metadata conflict on
+    /// One frame per batch: how a writer publishes its whole new subtree in
+    /// a single round trip. Per-item failures (e.g. a metadata conflict on
     /// one node) come back as that item's own error.
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         self.meta_batched(

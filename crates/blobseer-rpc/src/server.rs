@@ -386,11 +386,12 @@ fn accept_loop(listener: TcpListener, service: RpcService, shared: Arc<Shared>) 
 /// for known-parking calls. Service errors are *answers* (encoded in the
 /// response envelope), never reasons to drop the connection.
 fn connection_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
     service: RpcService,
     shared: &Arc<Shared>,
 ) {
+    let mut stream = wire::FrameReader::new(stream);
     loop {
         let (req_id, body) = match wire::read_frame(&mut stream) {
             Ok(Some(frame)) => frame,

