@@ -75,6 +75,7 @@ impl Fx {
             gc: &self.gc,
             stats: &self.stats,
             exec: &self.exec,
+            memo: None,
         };
         store
             .publish_write(self.blob, &entry, &self.chain(), &leaves)
@@ -133,6 +134,7 @@ fn bench_locate(c: &mut Criterion) {
         gc: &fx.gc,
         stats: &fx.stats,
         exec: &fx.exec,
+        memo: None,
     };
     let mut g = c.benchmark_group("segment_tree/locate");
     g.bench_function("one_block", |b| {

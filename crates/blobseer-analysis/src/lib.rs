@@ -90,13 +90,18 @@ const NO_UNWRAP_SCOPE: [&str; 8] = [
 /// Crates charged to `simnet::SimGate` virtual time.
 const NO_REAL_TIME_SCOPE: [&str; 3] = ["crates/simnet/", "crates/experiments/", "crates/hdfs-sim/"];
 
-/// Wire-decode files where a malformed peer frame must never panic.
-const NO_PANIC_DECODE_SCOPE: [&str; 5] = [
+/// Wire-decode files where a malformed peer frame must never panic: the
+/// codecs, the server dispatchers that decode every request, and the disk
+/// decoders that replay bytes a crash may have torn.
+const NO_PANIC_DECODE_SCOPE: [&str; 8] = [
     "crates/blobseer-rpc/src/wire.rs",
+    "crates/blobseer-rpc/src/server.rs",
     "crates/types/src/wire.rs",
     "crates/blobseer-core/src/meta/codec.rs",
     "crates/blobseer-control/src/codec.rs",
     "crates/blobseer-control/src/replog.rs",
+    "crates/blobseer-disk/src/frame.rs",
+    "crates/blobseer-disk/src/version_log.rs",
 ];
 
 /// The two sanctioned `std::sync` lock users: the shim itself (it *is*

@@ -78,6 +78,19 @@ fn panic_decode_rule_fires_in_wire_files() {
 }
 
 #[test]
+fn panic_decode_rule_covers_server_dispatch_and_disk_decoders() {
+    for path in [
+        "crates/blobseer-rpc/src/server.rs",
+        "crates/blobseer-disk/src/frame.rs",
+        "crates/blobseer-disk/src/version_log.rs",
+    ] {
+        let findings = lint_source(path, &fixture("panic_decode_violation.rs"));
+        assert_eq!(findings.len(), 1, "{path}: {findings:?}");
+        assert_eq!(findings[0].rule, RULE_NO_PANIC_DECODE);
+    }
+}
+
+#[test]
 fn allows_tests_and_literals_suppress_everything() {
     let findings = lint_source(
         "crates/blobseer-core/src/fixture.rs",

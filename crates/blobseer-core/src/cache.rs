@@ -17,6 +17,14 @@
 //! is non-zero, and the figure reproductions keep them off (the paper's
 //! curves are cache-cold).
 //!
+//! Every client handle already memoizes the tree nodes it published or
+//! fetched (`meta::tree::NodeMemo`, built on the same `Lru` engine), so
+//! a writer re-reading its own versions, or a handle re-descending a tree
+//! it walked before, skips the DHT without any decorator. Above that memo
+//! the decorators add two things: [`CachedMetaStore`] shares nodes across
+//! every handle of a deployment (one handle's fetch warms the others), and
+//! [`CachedBlockStore`] caches block payloads, which the memo never holds.
+//!
 //! Transparency contract: a cached deployment is observably equivalent to
 //! an uncached one for every `Result`-carrying operation
 //! (`tests/ports_equivalence.rs` holds the decorators to it). Block
@@ -40,9 +48,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A byte-budgeted LRU map. Not a port itself — the engine behind both
-/// decorators. Entries larger than the whole budget are refused (caching
-/// them would evict everything for a single-use payload).
-struct Lru<K, V> {
+/// decorators and behind each client handle's tree-node memo
+/// (`meta::tree::NodeMemo`). Entries larger than the whole budget are
+/// refused (caching them would evict everything for a single-use payload).
+pub(crate) struct Lru<K, V> {
     map: HashMap<K, LruEntry<V>>,
     /// Recency index: tick → key, oldest first. Ticks are unique, so the
     /// first entry is always the least recently used.
@@ -59,7 +68,7 @@ struct LruEntry<V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    fn new(budget: u64) -> Self {
+    pub(crate) fn new(budget: u64) -> Self {
         Self {
             map: HashMap::new(),
             order: BTreeMap::new(),
@@ -75,7 +84,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     }
 
     /// Looks a key up and marks it most recently used.
-    fn get(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
         let tick = self.next_tick();
         let entry = self.map.get_mut(key)?;
         self.order.remove(&entry.tick);
@@ -88,7 +97,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     /// entries until the budget holds. Returns how many entries were
     /// evicted. Values are immutable in this engine, so a re-insert under
     /// an existing key only refreshes recency.
-    fn insert(&mut self, key: K, value: V, size: u64) -> u64 {
+    pub(crate) fn insert(&mut self, key: K, value: V, size: u64) -> u64 {
         if size > self.budget {
             return 0;
         }
@@ -122,6 +131,12 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         self.map.clear();
         self.order.clear();
         self.bytes = 0;
+    }
+
+    /// Budget units currently resident.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 
@@ -281,7 +296,7 @@ impl BlockStore for CachedBlockStore {
 /// Approximate in-memory footprint of one cached tree node, for the byte
 /// budget. Tree nodes are tens of bytes; exactness does not matter, only
 /// that a budget bounds the cache.
-fn node_size(node: &TreeNode) -> u64 {
+pub(crate) fn node_size(node: &TreeNode) -> u64 {
     match node {
         TreeNode::Inner { .. } => 48,
         TreeNode::Leaf(d) => 48 + 8 * d.providers.len() as u64,

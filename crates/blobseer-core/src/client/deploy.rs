@@ -3,7 +3,7 @@
 
 use crate::exec::FanoutExecutor;
 use crate::gc::GcHost;
-use crate::meta::tree::TreeStore;
+use crate::meta::tree::{NodeMemo, TreeStore, NODE_MEMO_BUDGET};
 use crate::ports::{
     BlockStore, GcService, MetaStore, NoopObserver, PlacementService, ProtocolObserver,
     VersionService,
@@ -158,11 +158,14 @@ impl BlobSeer {
     }
 
     /// A client bound to a cluster node (the node matters for diagnostics
-    /// and for locality-aware schedulers reading block locations).
+    /// and for locality-aware schedulers reading block locations). Each
+    /// call returns a handle with its own, empty tree-node memo; clones of
+    /// the handle share it.
     pub fn client(self: &Arc<Self>, node: NodeId) -> BlobClient {
         BlobClient {
             sys: Arc::clone(self),
             node,
+            memo: Arc::new(NodeMemo::new(NODE_MEMO_BUDGET)),
         }
     }
 
@@ -220,6 +223,7 @@ impl BlobSeer {
             gc: &self.gc,
             stats: &self.stats,
             exec: self.exec.as_ref(),
+            memo: None,
         }
     }
 }

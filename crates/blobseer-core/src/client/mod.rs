@@ -102,6 +102,7 @@ pub use deploy::{BlobSeer, EnginePorts};
 pub(crate) use write::push_grouped;
 
 use crate::gc::GcReport;
+use crate::meta::tree::{NodeMemo, TreeStore};
 use crate::version_manager::SnapshotInfo;
 use blobseer_types::{BlobId, ByteRange, Error, NodeId, Result, Version};
 use std::sync::Arc;
@@ -123,10 +124,17 @@ pub struct BlockLocation {
 
 /// A client handle. Cheap to clone; all methods are `&self` and safe to
 /// call from many threads.
+///
+/// Each handle keeps a bounded memo of the segment-tree nodes it published
+/// or fetched ([`NodeMemo`]), so its next descent asks the DHT only for
+/// nodes it has not seen: a writer reading back its own version sends no
+/// descent frame at all. Clones share the memo; [`BlobSeer::client`]
+/// starts a new, empty one.
 #[derive(Clone)]
 pub struct BlobClient {
     pub(crate) sys: Arc<BlobSeer>,
     pub(crate) node: NodeId,
+    pub(crate) memo: Arc<NodeMemo>,
 }
 
 impl BlobClient {
@@ -138,6 +146,15 @@ impl BlobClient {
     /// The deployment this client talks to.
     pub fn system(&self) -> &Arc<BlobSeer> {
         &self.sys
+    }
+
+    /// The deployment's tree operations, descending through this handle's
+    /// node memo.
+    pub(crate) fn tree(&self) -> TreeStore<'_> {
+        TreeStore {
+            memo: Some(&self.memo),
+            ..self.sys.tree()
+        }
     }
 
     /// Creates a new empty BLOB (§III-A.1).
@@ -225,6 +242,7 @@ impl BlobClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultPlan, FaultyMetaStore, PutFault};
     use crate::version_manager::WriteIntent;
     use blobseer_types::config::PlacementPolicy;
     use blobseer_types::BlobSeerConfig;
@@ -566,6 +584,108 @@ mod tests {
                 assert!(unbalance > 10.0, "sticky placement skews: {unbalance}");
             }
         }
+    }
+
+    #[test]
+    fn refused_publish_never_seeds_the_memo() {
+        // A transiently refused node put aborts the write after the rest of
+        // its batch landed; the repair force-replaces those nodes. The
+        // same handle must then read the repaired (previous) content, so
+        // its memo never held the aborted batch.
+        let cfg = BlobSeerConfig::small_for_tests().with_block_size(64);
+        let base = EnginePorts::in_memory(&cfg, (0..4).map(NodeId::new).collect(), 1);
+        let plan = FaultPlan::new();
+        let ports = EnginePorts {
+            dht: Arc::new(FaultyMetaStore::new(
+                Arc::clone(&base.dht),
+                Arc::clone(&plan),
+            )),
+            ..base
+        };
+        let sys = BlobSeer::deploy_ports(cfg, ports);
+        let c = client(&sys);
+        let blob = c.create();
+        c.write(blob, 0, &[1u8; 256]).unwrap();
+        plan.set(PutFault::FailOnce);
+        assert!(c.write(blob, 0, &[2u8; 256]).is_err());
+        assert_eq!(plan.counters().1, 1, "exactly one node put refused");
+        assert_eq!(sys.stats().snapshot().writes_aborted, 1);
+        let (v2, _) = c.latest(blob).unwrap();
+        assert_eq!(v2, Version::new(2), "the repaired version revealed");
+        let data = c.read(blob, Some(v2), 0, 256).unwrap();
+        assert!(
+            data.iter().all(|&b| b == 1),
+            "repaired content, not aborted"
+        );
+        // Writes continue on the same handle and read back through it.
+        let v3 = c.write(blob, 64, &[3u8; 64]).unwrap();
+        let data = c.read(blob, Some(v3), 0, 256).unwrap();
+        assert!(data[..64].iter().all(|&b| b == 1));
+        assert!(data[64..128].iter().all(|&b| b == 3));
+        assert!(data[128..].iter().all(|&b| b == 1));
+    }
+
+    #[test]
+    fn memo_stays_within_budget_and_reads_survive_eviction() {
+        const BUDGET: u64 = 2048;
+        let sys = small_system();
+        let c = BlobClient {
+            sys: Arc::clone(&sys),
+            node: NodeId::new(100),
+            memo: Arc::new(NodeMemo::new(BUDGET)),
+        };
+        let blob = c.create();
+        // Per-version model of the blob's content.
+        let mut model: Vec<Vec<u8>> = vec![Vec::new()];
+        for v in 1..=40u8 {
+            let offset = (v as usize % 8) * 64;
+            let mut next = model.last().unwrap().clone();
+            next.resize(next.len().max(offset + 128), 0);
+            next[offset..offset + 128].fill(v);
+            c.write(blob, offset as u64, &next[offset..offset + 128])
+                .unwrap();
+            model.push(next);
+            assert!(c.memo.resident() <= BUDGET, "memo over its budget");
+        }
+        assert!(c.memo.resident() > 0);
+        let hits_before = sys.stats().snapshot().meta_memo_hits;
+        for (v, expected) in model.iter().enumerate().skip(1) {
+            let got = c
+                .read(blob, Some(Version::new(v as u64)), 0, expected.len() as u64)
+                .unwrap();
+            assert_eq!(&got[..], &expected[..], "version {v}");
+            assert!(c.memo.resident() <= BUDGET);
+        }
+        let snap = sys.stats().snapshot();
+        assert!(snap.meta_memo_hits > hits_before, "the memo still serves");
+    }
+
+    #[test]
+    fn memo_is_per_handle_so_another_handle_reads_through_the_dht() {
+        let sys = small_system();
+        let a = client(&sys);
+        let b = sys.client(NodeId::new(101));
+        let blob = a.create();
+        let data: Vec<u8> = (0..512u32).map(|i| (i * 7) as u8).collect();
+        let v = a.write(blob, 0, &data).unwrap();
+        let before = sys.stats().snapshot();
+        let from_a = a.read(blob, Some(v), 0, 512).unwrap();
+        let mid = sys.stats().snapshot();
+        let from_b = b.read(blob, Some(v), 0, 512).unwrap();
+        let after = sys.stats().snapshot();
+        assert_eq!(&from_a[..], &data[..]);
+        assert_eq!(from_a, from_b, "identical bytes through the DHT");
+        // The writer's descent came entirely from its memo; the other
+        // handle's entirely from the DHT.
+        let visited = mid.meta_nodes_read - before.meta_nodes_read;
+        assert!(visited > 0);
+        assert_eq!(mid.meta_memo_hits - before.meta_memo_hits, visited);
+        assert_eq!(after.meta_nodes_read - mid.meta_nodes_read, visited);
+        assert_eq!(after.meta_memo_hits, mid.meta_memo_hits);
+        // A clone shares its handle's memo: b's re-read is all hits.
+        b.clone().read(blob, Some(v), 0, 512).unwrap();
+        let last = sys.stats().snapshot();
+        assert_eq!(last.meta_memo_hits - after.meta_memo_hits, visited);
     }
 
     #[test]

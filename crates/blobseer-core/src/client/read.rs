@@ -36,7 +36,6 @@ impl BlobClient {
         let bs = self.sys.cfg.block_size;
         let query = BlockRange::of_bytes(offset, size, bs);
         let located = self
-            .sys
             .tree()
             .locate(info.root_blob, info.version, info.cap, query)?;
         self.observe(ProtocolOp::Read, ProtocolPhase::Located);
@@ -212,7 +211,6 @@ impl BlobClient {
         let bs = self.sys.cfg.block_size;
         let query = BlockRange::of_bytes(offset, size, bs);
         let located = self
-            .sys
             .tree()
             .locate(info.root_blob, info.version, info.cap, query)?;
         let spans = ByteRange::new(offset, size).block_spans(bs);

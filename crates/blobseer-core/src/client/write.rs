@@ -105,7 +105,7 @@ impl BlobClient {
     /// commits). Public so integration tests can drive the two halves
     /// separately.
     pub fn repair_aborted(&self, ticket: &WriteTicket) -> Result<()> {
-        let tree = self.sys.tree();
+        let tree = self.tree();
         let root = tree.publish_repair(ticket.blob, &ticket.entry, &ticket.chain)?;
         tree.register_root(root)?;
         EngineStats::add(&self.sys.stats.writes_aborted, 1);
@@ -306,6 +306,11 @@ impl BlobClient {
     /// version stays pending — the crashed-writer caveat of §VI-B,
     /// observable via `pending_versions` and repairable once the backend
     /// heals.
+    ///
+    /// The published nodes seed this handle's node memo only once the
+    /// commit returned `Ok`: a failed publish or root registration is
+    /// repaired, which force-replaces the version's keys, and a failed
+    /// commit leaves the version in doubt.
     pub(crate) fn publish_and_commit(
         &self,
         op: ProtocolOp,
@@ -313,19 +318,21 @@ impl BlobClient {
         leaves: Vec<(u64, BlockDescriptor)>,
     ) -> Result<()> {
         let leaf_map: HashMap<u64, BlockDescriptor> = leaves.iter().cloned().collect();
-        let tree = self.sys.tree();
-        let root = match tree.publish_write(ticket.blob, &ticket.entry, &ticket.chain, &leaf_map) {
-            Ok(root) => root,
-            Err(e) => {
-                let _ = self.repair_aborted(ticket);
-                // Whether or not the repair landed, no revealed snapshot
-                // can ever reference this write's blocks (repair aliases
-                // the *previous* version's leaves): undo the data phase.
-                self.release_stored(&leaves);
-                return Err(e);
-            }
-        };
-        if let Err(e) = tree.register_root(root) {
+        let tree = self.tree();
+        let published =
+            match tree.publish_write(ticket.blob, &ticket.entry, &ticket.chain, &leaf_map) {
+                Ok(published) => published,
+                Err(e) => {
+                    let _ = self.repair_aborted(ticket);
+                    // Whether or not the repair landed, no revealed
+                    // snapshot can ever reference this write's blocks
+                    // (repair aliases the *previous* version's leaves):
+                    // undo the data phase.
+                    self.release_stored(&leaves);
+                    return Err(e);
+                }
+            };
+        if let Err(e) = tree.register_root(published.root) {
             // The tree is published but its root was never refcounted: a
             // later collection of this version would be an untracked
             // release. Repair-and-release exactly like a failed publish —
@@ -348,6 +355,7 @@ impl BlobClient {
             }
             return Err(e);
         }
+        self.memo.insert(published.nodes);
         self.observe(op, ProtocolPhase::Committed);
         Ok(())
     }

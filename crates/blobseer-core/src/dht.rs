@@ -238,23 +238,22 @@ impl MetaDht {
 
     /// Batched [`Self::get`] with per-item results, in input order. Single
     /// replica: grouped by home shard, one lock acquisition per stripe.
+    /// The `MissingMetadata` error is built only for keys actually missing.
     pub fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
         if self.replication > 1 {
             return keys.iter().map(|key| self.get(key)).collect();
         }
-        let mut out: Vec<Result<TreeNode>> = keys
-            .iter()
-            .map(|key| Err(Error::MissingMetadata(format!("{key:?}"))))
-            .collect();
+        let mut found: Vec<Option<TreeNode>> = vec![None; keys.len()];
         for (shard, range) in self.shard_groups(keys.iter()) {
             let group: Vec<NodeKey> = range.iter().map(|&i| keys[i]).collect();
-            for (slot, found) in range.into_iter().zip(self.shards[shard].get_many(&group)) {
-                if let Some(node) = found {
-                    out[slot] = Ok(node);
-                }
+            for (slot, node) in range.into_iter().zip(self.shards[shard].get_many(&group)) {
+                found[slot] = node;
             }
         }
-        out
+        keys.iter()
+            .zip(found)
+            .map(|(key, node)| node.ok_or_else(|| Error::MissingMetadata(format!("{key:?}"))))
+            .collect()
     }
 
     /// Batched [`Self::delete`]: true per item if any replica existed.
@@ -494,5 +493,33 @@ mod tests {
             );
         }
         assert_eq!(global.node_count(), striped.node_count());
+    }
+
+    #[test]
+    fn get_many_reports_only_missing_keys_with_the_single_get_error() {
+        for replication in [1, 2] {
+            let dht = MetaDht::new(4, replication);
+            let present: Vec<NodeKey> = (0..8).map(|i| key(1, i, 1)).collect();
+            for (i, k) in present.iter().enumerate() {
+                dht.put(*k, leaf(i as u64)).unwrap();
+            }
+            let absent = key(9, 3, 1);
+            let mut keys = present.clone();
+            keys.insert(4, absent);
+            let results = dht.get_many(&keys);
+            assert_eq!(results.len(), keys.len());
+            for (k, result) in keys.iter().zip(&results) {
+                if *k == absent {
+                    let err = result.as_ref().unwrap_err();
+                    assert_eq!(
+                        err.to_string(),
+                        Error::MissingMetadata(format!("{absent:?}")).to_string()
+                    );
+                    assert_eq!(err, &dht.get(&absent).unwrap_err(), "same as get");
+                } else {
+                    assert_eq!(result.as_ref().unwrap(), &dht.get(k).unwrap());
+                }
+            }
+        }
     }
 }

@@ -12,17 +12,79 @@
 //! **Reading** (§III-C): descend from the root of the requested snapshot,
 //! following child references across versions, visiting only subtrees that
 //! intersect the requested range, and collect leaf block descriptors.
+//!
+//! **Memoizing** ([`NodeMemo`]): a node key `(blob, version, pos)` is
+//! written once and never changes, so a client handle may keep any node it
+//! knows to be final and skip the DHT for it on its next descent.
 
 use super::key::{BlockRange, NodeKey, Pos};
 use super::log::{LogChain, LogEntry};
 use super::node::{BlockDescriptor, NodeRef, TreeNode};
+use crate::cache::{node_size, Lru};
 use crate::exec::FanoutExecutor;
 use crate::ports::{GcService, MetaStore};
 use crate::sharded::group_indices_by;
 use crate::stats::EngineStats;
 use blobseer_types::{BlobId, Error, Result, Version};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Budget of one client handle's [`NodeMemo`], in [`node_size`] units
+/// (about 40k nodes). The smallest power of two at which a handle
+/// re-reading its own recent versions — perfbench's `small-rw`, 64-block
+/// ops over a 16 MiB blob with 128 kept versions — almost never descends
+/// through the DHT (0.09 descent frames per op); at half of it the memo
+/// thrashes (2.5).
+pub(crate) const NODE_MEMO_BUDGET: u64 = 2 << 20;
+
+/// One client handle's memo of segment-tree nodes, shared by the handle's
+/// clones. It only ever holds nodes that can no longer change:
+///
+/// * **write-through** — a writer's whole publish batch, inserted once
+///   its commit returned `Ok` (a failed publish or root registration is
+///   repaired by force-replacing the version's keys, and a failed commit
+///   leaves the version in doubt, so none of those batches goes in);
+/// * **read-through** — every node a descent fetched for a revealed
+///   snapshot, whose whole tree is committed.
+///
+/// The lock (class `client.node_memo`) is never held across a port call.
+/// Only client handles create memos ([`crate::BlobClient`]); other
+/// [`TreeStore`] users pass `memo: None`.
+pub struct NodeMemo {
+    lru: Mutex<Lru<NodeKey, TreeNode>>,
+}
+
+impl NodeMemo {
+    /// An empty memo holding at most `budget` [`node_size`] units.
+    pub(crate) fn new(budget: u64) -> Self {
+        Self {
+            lru: Mutex::named(Lru::new(budget), "client.node_memo"),
+        }
+    }
+
+    /// The memoized node of each key, in input order.
+    fn lookup(&self, keys: &[NodeKey]) -> Vec<Option<TreeNode>> {
+        let mut lru = self.lru.lock();
+        keys.iter().map(|key| lru.get(key)).collect()
+    }
+
+    /// Memoizes final nodes, evicting the least recently used past the
+    /// budget.
+    pub(crate) fn insert(&self, nodes: impl IntoIterator<Item = (NodeKey, TreeNode)>) {
+        let mut lru = self.lru.lock();
+        for (key, node) in nodes {
+            let size = node_size(&node);
+            lru.insert(key, node, size);
+        }
+    }
+
+    /// Budget units currently resident.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> u64 {
+        self.lru.lock().bytes()
+    }
+}
 
 /// A located block within a snapshot: its index and the descriptor of the
 /// stored block covering it (`None` = never-written hole, reads as zeros).
@@ -58,13 +120,24 @@ struct BuildCx<'a, 'b> {
 }
 
 /// Metadata operations bound to one deployment's metadata backend (any
-/// [`MetaStore`] adapter), GC service, stats and fan-out executor.
+/// [`MetaStore`] adapter), GC service, stats and fan-out executor, plus
+/// the calling client handle's node memo, if any.
 #[derive(Clone, Copy)]
 pub struct TreeStore<'a> {
     pub dht: &'a Arc<dyn MetaStore>,
     pub gc: &'a Arc<dyn GcService>,
     pub stats: &'a EngineStats,
     pub exec: &'a FanoutExecutor,
+    pub memo: Option<&'a NodeMemo>,
+}
+
+/// A published tree: its root key and every node the publish put, for the
+/// writer to memoize once the version committed.
+pub struct Published {
+    /// The new version's root key.
+    pub root: NodeKey,
+    /// Every node of the publish batch.
+    pub nodes: Vec<(NodeKey, TreeNode)>,
 }
 
 impl<'a> TreeStore<'a> {
@@ -126,8 +199,45 @@ impl<'a> TreeStore<'a> {
             .map(|slot| slot.expect("every frontier key grouped exactly once")) // lint:allow(no-unwrap): grouping assigns each key to exactly one slot
             .collect()
     }
+
+    /// One descent level, answered from the handle's memo where it can:
+    /// only the misses go to [`Self::get_level`], so a level whose whole
+    /// frontier hits costs no round trip. Fetched nodes are memoized.
+    fn fetch_level(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        let Some(memo) = self.memo else {
+            return self.get_level(keys);
+        };
+        let mut out: Vec<Option<Result<TreeNode>>> = memo
+            .lookup(keys)
+            .into_iter()
+            .map(|hit| hit.map(Ok))
+            .collect();
+        let missed: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
+        EngineStats::add(
+            &self.stats.meta_memo_hits,
+            (keys.len() - missed.len()) as u64,
+        );
+        if !missed.is_empty() {
+            let miss_keys: Vec<NodeKey> = missed.iter().map(|&i| keys[i]).collect();
+            let fetched = self.get_level(&miss_keys);
+            memo.insert(
+                miss_keys
+                    .iter()
+                    .zip(&fetched)
+                    .filter_map(|(key, node)| Some((*key, node.as_ref().ok()?.clone()))),
+            );
+            for (i, result) in missed.into_iter().zip(fetched) {
+                out[i] = Some(result);
+            }
+        }
+        out.into_iter()
+            .map(|slot| slot.expect("every frontier key answered")) // lint:allow(no-unwrap): each slot is a memo hit or one of the fetched misses
+            .collect()
+    }
+
     /// Publishes the metadata of a normal write. `leaves` maps each block
-    /// index in `entry.blocks` to its descriptor. Returns the new root key.
+    /// index in `entry.blocks` to its descriptor. Returns the new root key
+    /// and the published nodes.
     ///
     /// Fails when the backend rejects a node put (a conflicting re-put —
     /// [`Error::MetadataConflict`] — or an injected fault); the nodes that
@@ -140,7 +250,7 @@ impl<'a> TreeStore<'a> {
         entry: &LogEntry,
         chain: &LogChain,
         leaves: &HashMap<u64, BlockDescriptor>,
-    ) -> Result<NodeKey> {
+    ) -> Result<Published> {
         debug_assert!(
             entry.blocks.iter().all(|b| leaves.contains_key(&b)),
             "every written block needs a descriptor"
@@ -159,7 +269,7 @@ impl<'a> TreeStore<'a> {
         entry: &LogEntry,
         chain: &LogChain,
     ) -> Result<NodeKey> {
-        self.publish(blob, entry, chain, LeafMode::Repair)
+        Ok(self.publish(blob, entry, chain, LeafMode::Repair)?.root)
     }
 
     fn publish(
@@ -168,7 +278,7 @@ impl<'a> TreeStore<'a> {
         entry: &LogEntry,
         chain: &LogChain,
         mode: LeafMode<'_>,
-    ) -> Result<NodeKey> {
+    ) -> Result<Published> {
         let root = Pos::root(entry.cap_after);
         debug_assert!(
             entry.materializes(root),
@@ -249,7 +359,10 @@ impl<'a> TreeStore<'a> {
         if !incs.is_empty() {
             self.gc.inc_nodes(&incs)?;
         }
-        Ok(NodeKey::new(blob, entry.version, root))
+        Ok(Published {
+            root: NodeKey::new(blob, entry.version, root),
+            nodes: batch,
+        })
     }
 
     /// Recursively materializes `pos` if the write covers it — appending
@@ -333,6 +446,10 @@ impl<'a> TreeStore<'a> {
     /// a remote backend pays one round trip per level instead of one per
     /// node. Alias chains extend the frontier at the same position, so a
     /// chain of `k` aliases adds `k` extra rounds for those entries only.
+    ///
+    /// With a handle's memo attached, each level sends only its memo
+    /// misses and memoizes what it fetched — so callers must pass a
+    /// *revealed* snapshot, whose whole tree is final.
     pub fn locate(
         &self,
         root_blob: BlobId,
@@ -353,7 +470,7 @@ impl<'a> TreeStore<'a> {
         let mut frontier = vec![NodeKey::new(root_blob, version, Pos::root(cap))];
         while !frontier.is_empty() {
             let mut next = Vec::new();
-            for (key, fetched) in frontier.iter().zip(self.get_level(&frontier)) {
+            for (key, fetched) in frontier.iter().zip(self.fetch_level(&frontier)) {
                 let node = fetched?;
                 EngineStats::add(&self.stats.meta_nodes_read, 1);
                 match node {
@@ -446,6 +563,7 @@ mod tests {
                 gc: &self.gc,
                 stats: &self.stats,
                 exec: &self.exec,
+                memo: None,
             }
         }
 
@@ -491,6 +609,7 @@ mod tests {
             self.store()
                 .publish_write(self.blob, &entry, &self.chain(), &leaves)
                 .unwrap()
+                .root
         }
 
         fn blocks_of(&self, v: u64, cap: u64, q: (u64, u64)) -> Vec<Option<u64>> {

@@ -117,9 +117,9 @@ impl ProviderManager {
     pub fn allocate(&self, n_blocks: usize, replication: usize) -> Result<Vec<BlockAllocation>> {
         let mut placer = self.placer.lock();
         let mut loads = self.loads.lock();
-        if replication > loads.len() {
+        if replication == 0 || replication > loads.len() {
             return Err(Error::NoProviderAvailable(format!(
-                "replication {replication} exceeds provider count {}",
+                "replication {replication} outside 1..={} providers",
                 loads.len()
             )));
         }
@@ -195,6 +195,10 @@ mod tests {
         let pm = ProviderManager::new(2, PlacementPolicy::RoundRobin, 0);
         let err = pm.allocate(1, 3).unwrap_err();
         assert!(matches!(err, Error::NoProviderAvailable(_)), "{err}");
+        // Zero replicas would place a block nowhere.
+        let err = pm.allocate(1, 0).unwrap_err();
+        assert!(matches!(err, Error::NoProviderAvailable(_)), "{err}");
+        assert_eq!(pm.load_vector(), vec![0, 0], "refusals charge no load");
     }
 
     #[test]

@@ -18,7 +18,9 @@ pub struct EngineStats {
     pub bytes_read: AtomicU64,
     /// Metadata tree nodes written to the DHT (each replica counts once).
     pub meta_nodes_written: AtomicU64,
-    /// Metadata tree node lookups served by the DHT.
+    /// Metadata tree nodes visited by read descents, whether the DHT or
+    /// the client handle's node memo served them (the memo's share is
+    /// [`Self::meta_memo_hits`]).
     pub meta_nodes_read: AtomicU64,
     /// Version assignments performed by the version manager.
     pub versions_assigned: AtomicU64,
@@ -58,6 +60,10 @@ pub struct EngineStats {
     /// Entries evicted from the hot-read cache to stay within its byte
     /// budget.
     pub cache_evictions: AtomicU64,
+    /// Descent nodes a client handle answered from its own node memo
+    /// (`meta::tree::NodeMemo`) instead of fetching them from the DHT.
+    /// Separate from the opt-in decorators' `cache_*` counters.
+    pub meta_memo_hits: AtomicU64,
     /// Diagnostic port calls (non-`Result` methods: counts, sizes, op
     /// counters) that a remote adapter answered with a zero/empty default
     /// because the backend was unreachable. Always 0 in a healthy
@@ -127,6 +133,7 @@ impl EngineStats {
             cache_hits: g(&self.cache_hits),
             cache_misses: g(&self.cache_misses),
             cache_evictions: g(&self.cache_evictions),
+            meta_memo_hits: g(&self.meta_memo_hits),
             rpc_degraded_diagnostics: g(&self.rpc_degraded_diagnostics),
             fanout_batches: g(&self.fanout_batches),
             fanout_max_width: g(&self.fanout_max_width),
@@ -156,6 +163,7 @@ pub struct StatsSnapshot {
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_evictions: u64,
+    pub meta_memo_hits: u64,
     pub rpc_degraded_diagnostics: u64,
     pub fanout_batches: u64,
     pub fanout_max_width: u64,

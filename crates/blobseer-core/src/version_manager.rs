@@ -287,12 +287,23 @@ impl VersionManager {
             WriteIntent::Write { offset, size } => (offset, size),
             WriteIntent::Append { size } => (prev_size, size),
         };
-        let size_after = prev_size.max(offset + size);
+        // A range whose end, or whose power-of-two tree capacity, does not
+        // fit u64 is refused before any geometry wraps: clients check the
+        // range too, but a remote request may carry any intent.
+        let geometry = offset.checked_add(size).and_then(|end| {
+            let size_after = prev_size.max(end);
+            let cap = size_after
+                .div_ceil(self.block_size)
+                .checked_next_power_of_two()?;
+            Some((size_after, cap))
+        });
+        let Some((size_after, cap)) = geometry else {
+            return Err(Error::WriteAborted(format!(
+                "write range overflows: offset {offset} + {size} bytes"
+            )));
+        };
         let blocks = BlockRange::of_bytes(offset, size, self.block_size);
-        let cap_after = size_after
-            .div_ceil(self.block_size)
-            .next_power_of_two()
-            .max(prev_cap);
+        let cap_after = cap.max(prev_cap);
         let entry = LogEntry {
             version,
             blocks,
@@ -604,6 +615,23 @@ mod tests {
             vm.assign(b, WriteIntent::Append { size: 0 }),
             Err(Error::WriteAborted(_))
         ));
+    }
+
+    #[test]
+    fn overflowing_write_range_rejected_without_a_trace() {
+        let vm = vm(64);
+        let b = vm.create_blob();
+        vm.assign(b, WriteIntent::Append { size: 64 }).unwrap();
+        for intent in [
+            WriteIntent::Write {
+                offset: u64::MAX - 10,
+                size: 100,
+            },
+            WriteIntent::Append { size: u64::MAX },
+        ] {
+            assert!(matches!(vm.assign(b, intent), Err(Error::WriteAborted(_))));
+        }
+        assert_eq!(vm.pending_versions(b).unwrap(), vec![Version::new(1)]);
     }
 
     #[test]

@@ -893,10 +893,20 @@ fn handle_placement(pm: &dyn PlacementService, body: &[u8]) -> Result<WireWriter
             w.put_u64(pm.provider_count() as u64);
         }
         placement_tag::ALLOCATE => {
-            let n_blocks = r.get_u64()? as usize;
-            let replication = r.get_u64()? as usize;
+            let n_blocks = r.get_u64()?;
+            let replication = r.get_u64()?;
             r.finish()?;
-            let allocs = pm.allocate(n_blocks, replication)?;
+            // Each allocation encodes to at least `2 + replication` bytes,
+            // so a count whose answer cannot fit one frame is refused
+            // before anything is sized by it.
+            let min_answer = n_blocks.saturating_mul(replication.saturating_add(2));
+            if min_answer > wire::MAX_FRAME_LEN {
+                return Err(Error::Transport(format!(
+                    "allocate of {n_blocks} blocks x {replication} replicas refused: \
+                     the answer cannot fit one frame"
+                )));
+            }
+            let allocs = pm.allocate(n_blocks as usize, replication as usize)?;
             w.put_u64(allocs.len() as u64);
             for a in &allocs {
                 wire::put_block_allocation(&mut w, a);
@@ -974,4 +984,247 @@ fn handle_gc(gc: &dyn GcService, body: &[u8]) -> Result<WireWriter> {
         t => return Err(Error::Transport(format!("unknown gc method tag {t}"))),
     }
     Ok(w)
+}
+
+#[cfg(test)]
+mod tests {
+    //! Hostile bytes on server sockets: every dispatcher answers an
+    //! arbitrary `(tag, body)` frame with a well-formed success or error
+    //! response, never a panic. Allocation is not measured here: every
+    //! length-prefixed decode clamps its pre-allocation, and `allocate`
+    //! is bounded by the frame its answer must fit.
+
+    use super::*;
+    use blobseer_core::block_store::ProviderSet;
+    use blobseer_core::dht::MetaDht;
+    use blobseer_core::meta::{BlockDescriptor, LogChain, NodeKey, Pos, TreeNode};
+    use blobseer_core::{
+        EngineStats, FanoutExecutor, GcHost, ProviderManager, SnapshotInfo, VersionManager,
+        WriteIntent, WriteTicket,
+    };
+    use blobseer_types::config::PlacementPolicy;
+    use proptest::prelude::*;
+    use std::time::Duration;
+
+    const BLOCK: u64 = 64;
+
+    /// A version manager whose reveal waits never park: a hostile frame
+    /// may legitimately ask to wait for centuries, and what is under test
+    /// here is the decoding, not the wait.
+    struct NoParkVm(VersionManager);
+
+    impl VersionService for NoParkVm {
+        fn block_size(&self) -> u64 {
+            self.0.block_size()
+        }
+        fn create_blob(&self) -> Result<BlobId> {
+            VersionService::create_blob(&self.0)
+        }
+        fn branch(&self, parent: BlobId, at: Version) -> Result<BlobId> {
+            self.0.branch(parent, at)
+        }
+        fn assign(&self, blob: BlobId, intent: WriteIntent) -> Result<WriteTicket> {
+            self.0.assign(blob, intent)
+        }
+        fn commit(&self, blob: BlobId, version: Version) -> Result<()> {
+            self.0.commit(blob, version)
+        }
+        fn latest(&self, blob: BlobId) -> Result<(Version, u64)> {
+            self.0.latest(blob)
+        }
+        fn snapshot_info(&self, blob: BlobId, version: Version) -> Result<SnapshotInfo> {
+            self.0.snapshot_info(blob, version)
+        }
+        fn chain(&self, blob: BlobId) -> Result<LogChain> {
+            self.0.chain(blob)
+        }
+        fn wait_revealed(&self, blob: BlobId, version: Version, _timeout: Duration) -> Result<()> {
+            self.0.wait_revealed(blob, version, Duration::ZERO)
+        }
+        fn pending_versions(&self, blob: BlobId) -> Result<Vec<Version>> {
+            self.0.pending_versions(blob)
+        }
+        fn delete_blob(&self, blob: BlobId) -> Result<Vec<NodeKey>> {
+            self.0.delete_blob(blob)
+        }
+        fn collect_before(&self, blob: BlobId, keep_from: Version) -> Result<Vec<NodeKey>> {
+            self.0.collect_before(blob, keep_from)
+        }
+    }
+
+    fn providers() -> Arc<dyn BlockStore> {
+        let store = ProviderSet::new(2, |i| NodeId::new(i as u64));
+        for id in 1..=4u64 {
+            store
+                .put(
+                    (id % 2) as usize,
+                    BlockId::new(id),
+                    Bytes::from(vec![7u8; 64]),
+                )
+                .unwrap();
+        }
+        Arc::new(store)
+    }
+
+    fn dht() -> Arc<dyn MetaStore> {
+        let dht = MetaDht::new(4, 1);
+        let blob = BlobId::new(1);
+        let v1 = Version::new(1);
+        dht.put(
+            NodeKey::new(blob, v1, Pos::new(0, 1)),
+            TreeNode::Leaf(BlockDescriptor {
+                block_id: BlockId::new(1),
+                providers: vec![1],
+                len: 64,
+            }),
+        )
+        .unwrap();
+        dht.put(
+            NodeKey::new(blob, v1, Pos::new(0, 2)),
+            TreeNode::Inner {
+                left: Some(blobseer_core::meta::NodeRef { blob, version: v1 }),
+                right: None,
+            },
+        )
+        .unwrap();
+        Arc::new(dht)
+    }
+
+    fn placement() -> Arc<dyn PlacementService> {
+        Arc::new(ProviderManager::new(2, PlacementPolicy::RoundRobin, 1))
+    }
+
+    /// A fresh service of each kind, with a little state for the decoded
+    /// requests to reach: stored blocks and nodes, a blob with one revealed
+    /// and one pending version, tracked GC references.
+    fn service(kind: usize) -> RpcService {
+        match kind {
+            0 => RpcService::Block(providers()),
+            1 => RpcService::Meta(dht()),
+            2 => {
+                let vm = VersionManager::new(BLOCK, Arc::new(EngineStats::new()));
+                let blob = vm.create_blob();
+                let t = vm.assign(blob, WriteIntent::Append { size: 128 }).unwrap();
+                vm.commit(blob, t.version).unwrap();
+                vm.assign(blob, WriteIntent::Append { size: 64 }).unwrap();
+                RpcService::Version(Arc::new(NoParkVm(vm)))
+            }
+            3 => RpcService::Placement(placement()),
+            _ => {
+                let dht = dht();
+                let gc = GcHost::new(
+                    Arc::clone(&dht),
+                    providers(),
+                    placement(),
+                    Arc::new(EngineStats::new()),
+                    Arc::new(FanoutExecutor::new(1)),
+                );
+                let root = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 2));
+                gc.inc_nodes(&[root, NodeKey::new(root.blob, root.version, Pos::new(0, 1))])
+                    .unwrap();
+                RpcService::Gc(Arc::new(gc))
+            }
+        }
+    }
+
+    /// Dispatches `tag ‖ body` and checks the answer is one well-formed
+    /// response frame body: status 0 then a payload, or status 1 then
+    /// exactly one encoded error.
+    fn answers(kind: usize, tag: u8, body: &[u8]) {
+        let mut frame = Vec::with_capacity(body.len() + 1);
+        frame.push(tag);
+        frame.extend_from_slice(body);
+        let response = dispatch(&service(kind), &frame);
+        match response.first() {
+            Some(0) => {}
+            Some(1) => {
+                let err = wire::decode_response(&response).err();
+                assert!(err.is_some(), "status 1 must carry an error");
+            }
+            other => panic!("malformed response status {other:?}"),
+        }
+    }
+
+    /// Short bodies reach past the decoders into the services; long ones
+    /// stress the length-prefixed decoders.
+    fn body() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..24),
+            proptest::collection::vec(any::<u8>(), 0..64 * 1024 + 1),
+        ]
+    }
+
+    /// Valid method tags are small; any byte may arrive.
+    fn tag() -> impl Strategy<Value = u8> {
+        prop_oneof![0u8..16, any::<u8>()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn block_dispatcher_survives_hostile_frames(tag in tag(), body in body()) {
+            answers(0, tag, &body);
+        }
+
+        #[test]
+        fn meta_dispatcher_survives_hostile_frames(tag in tag(), body in body()) {
+            answers(1, tag, &body);
+        }
+
+        #[test]
+        fn version_dispatcher_survives_hostile_frames(tag in tag(), body in body()) {
+            answers(2, tag, &body);
+        }
+
+        #[test]
+        fn placement_dispatcher_survives_hostile_frames(tag in tag(), body in body()) {
+            answers(3, tag, &body);
+        }
+
+        #[test]
+        fn gc_dispatcher_survives_hostile_frames(tag in tag(), body in body()) {
+            answers(4, tag, &body);
+        }
+    }
+
+    /// Requests shaped right but sized wrong: each is refused with an
+    /// error before anything is sized by its length.
+    #[test]
+    fn oversized_and_overflowing_requests_are_refused() {
+        let frame = |tag: u8, values: &[u64]| {
+            let mut w = WireWriter::new();
+            w.put_u8(tag);
+            for &v in values {
+                w.put_u64(v);
+            }
+            w.into_vec()
+        };
+        let refused = |service: &RpcService, request: Vec<u8>| {
+            let response = dispatch(service, &request);
+            assert!(wire::decode_response(&response).is_err(), "{request:?}");
+        };
+        let pm = service(3);
+        // An answer that could never fit one frame, and a zero-replica
+        // allocation (2 bytes per block, so within the frame bound) that
+        // would place blocks nowhere.
+        refused(&pm, frame(placement_tag::ALLOCATE, &[u64::MAX, 1]));
+        refused(
+            &pm,
+            frame(placement_tag::ALLOCATE, &[wire::MAX_FRAME_LEN, 1]),
+        );
+        refused(&pm, frame(placement_tag::ALLOCATE, &[1, 0]));
+        // A write range past the end of the address space.
+        let vm = service(2);
+        for intent in [
+            [0, u64::MAX - 10, 100],
+            [0, u64::MAX / 2 + 1, u64::MAX / 2 + 1],
+        ] {
+            refused(
+                &vm,
+                frame(version_tag::ASSIGN, &[&[1][..], &intent[..]].concat()),
+            );
+        }
+        refused(&vm, frame(version_tag::ASSIGN, &[1, 1, u64::MAX]));
+    }
 }

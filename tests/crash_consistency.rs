@@ -137,18 +137,28 @@ fn delayed_metadata_becomes_visible_after_late_arrival() {
     r.meta_plan.set(PutFault::Delay);
     let v2 = c.write(blob, 64, &[2u8; 64]).unwrap();
     assert!(r.meta_plan.counters().2 > 0, "tree-node puts were delayed");
+    // A handle that never saw the nodes must go to the DHT and finds them
+    // missing.
+    let other = r.sys.client(NodeId::new(1));
     assert!(matches!(
-        c.read(blob, Some(v2), 0, 128),
+        other.read(blob, Some(v2), 0, 128),
         Err(Error::MissingMetadata(_))
     ));
+    // The writer's own handle memoized its committed tree, so it reads its
+    // committed bytes without the DHT.
+    let own = c.read(blob, Some(v2), 0, 128).unwrap();
+    assert!(own[..64].iter().all(|&b| b == 1));
+    assert!(own[64..].iter().all(|&b| b == 2));
 
     // Late arrival: the buffered puts apply cleanly (immutable nodes are
     // order-insensitive) and the snapshot becomes readable.
     r.meta_plan.set(PutFault::None);
     r.meta_store.flush_delayed().unwrap();
-    let data = c.read(blob, Some(v2), 0, 128).unwrap();
-    assert!(data[..64].iter().all(|&b| b == 1));
-    assert!(data[64..].iter().all(|&b| b == 2));
+    for reader in [&c, &other] {
+        let data = reader.read(blob, Some(v2), 0, 128).unwrap();
+        assert!(data[..64].iter().all(|&b| b == 1));
+        assert!(data[64..].iter().all(|&b| b == 2));
+    }
 }
 
 #[test]

@@ -54,10 +54,17 @@ fn unreplicated_metadata_crash_is_detected_not_silent() {
     for shard in 0..4 {
         sys.dht().crash_shard(shard);
     }
-    match client.read(blob, None, 0, BLOCK) {
+    // A handle that never saw the tree must descend through the DHT and
+    // detects the loss.
+    let fresh = sys.client(NodeId::new(1));
+    match fresh.read(blob, None, 0, BLOCK) {
         Err(Error::MissingMetadata(_)) => {}
         other => panic!("expected MissingMetadata, got {other:?}"),
     }
+    // The writer's handle memoized its committed tree and still returns
+    // its committed bytes (the data providers are intact).
+    let own = client.read(blob, None, 0, BLOCK).unwrap();
+    assert!(own.iter().all(|&b| b == 1));
 }
 
 #[test]

@@ -124,7 +124,9 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
     // and a full-blob read over the loopback cluster complete in
     // O(tree levels + providers touched) wire frames — not O(blocks +
     // nodes) — asserted via the deployment's round-trip counters, with
-    // results byte-identical to the in-memory backend.
+    // results byte-identical to the in-memory backend. The writer's own
+    // read skips the descent through its node memo; a fresh handle pays
+    // it in full.
     let cfg = BlobSeerConfig::small_for_tests().with_block_size(64);
     let cluster = LoopbackCluster::boot(cfg.clone(), 4).unwrap();
     let sys = cluster.deploy().unwrap();
@@ -161,22 +163,51 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
     assert_eq!(&full[..], &data[..], "byte-identical to what was written");
     let after_read = sys.stats().snapshot();
 
-    // Read = 2 snapshot resolution (latest + snapshot_info) + 7 descent
-    // get_many (one per level) + 4 block get_many (one per provider) = 13.
+    // The writer's own read descends through its handle's node memo, which
+    // its committed publish seeded: read = 2 snapshot resolution (latest +
+    // snapshot_info) + 0 descent + 4 block get_many (one per provider) = 6.
     let read_frames = after_read.port_round_trips - after_write.port_round_trips;
-    assert_eq!(read_frames, 13, "read frames: O(levels + providers)");
+    assert_eq!(read_frames, 6, "warm read frames: resolve + fetch only");
+    assert_eq!(after_read.batched_items - after_write.batched_items, 64);
     assert_eq!(
-        after_read.batched_items - after_write.batched_items,
-        64 + 127
+        after_read.meta_memo_hits - after_write.meta_memo_hits,
+        127,
+        "every visited node answered by the memo"
     );
-    // Same shape on the read side: one fetch-phase fan-out (4 provider
-    // batches) plus one descent group per level, and no fallback retries.
+    // One fetch-phase fan-out (4 provider batches); no descent group, and
+    // no fallback retries.
     assert_eq!(
         after_read.fanout_batches - after_write.fanout_batches,
+        1,
+        "one fetch-phase fan-out, no descent level"
+    );
+    assert_eq!(after_read.read_replica_fallbacks, 0);
+
+    // A fresh handle on the same deployment has an empty memo, so the same
+    // read costs the full descent: 2 resolve + 7 descent get_many (one per
+    // level) + 4 block get_many = 13 frames.
+    let cold = sys.client(NodeId::new(1));
+    assert_eq!(
+        cold.read(blob, None, 0, data.len() as u64).unwrap(),
+        full,
+        "a handle that never saw the tree reads identical bytes"
+    );
+    let after_cold = sys.stats().snapshot();
+    let cold_frames = after_cold.port_round_trips - after_read.port_round_trips;
+    assert_eq!(cold_frames, 13, "cold read frames: O(levels + providers)");
+    assert_eq!(
+        after_cold.batched_items - after_read.batched_items,
+        64 + 127
+    );
+    assert_eq!(after_cold.meta_memo_hits, after_read.meta_memo_hits);
+    // Same shape on the read side: one fetch-phase fan-out plus one
+    // descent group per level.
+    assert_eq!(
+        after_cold.fanout_batches - after_read.fanout_batches,
         8,
         "one fetch-phase fan-out + one per descent level"
     );
-    assert_eq!(after_read.read_replica_fallbacks, 0);
+    assert_eq!(after_cold.read_replica_fallbacks, 0);
 
     // The control plane is hosted too, but it stays off the data-path
     // counters: a clean write costs exactly three control frames (one
@@ -188,7 +219,7 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
         "write control frames: allocate + tree inc_nodes + root inc_nodes"
     );
     assert_eq!(
-        after_read.control_round_trips - after_write.control_round_trips,
+        after_cold.control_round_trips - after_write.control_round_trips,
         0,
         "reads never touch the control plane"
     );
@@ -197,8 +228,8 @@ fn vectored_ports_cost_frames_proportional_to_levels_not_blocks() {
     // data-path and control-plane together.
     assert_eq!(
         cluster.frames_served() - served_before,
-        (after_read.port_round_trips - before.port_round_trips)
-            + (after_read.control_round_trips - before.control_round_trips)
+        (after_cold.port_round_trips - before.port_round_trips)
+            + (after_cold.control_round_trips - before.control_round_trips)
     );
 
     // And the bytes agree with the in-memory backend end to end.
