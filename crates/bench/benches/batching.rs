@@ -1,11 +1,13 @@
-//! Per-op vs vectored port traffic over the RPC loopback cluster.
+//! Batches of one vs whole batches of port traffic over the RPC loopback
+//! cluster.
 //!
-//! The vectored port API exists so the data phase, tree publish and
+//! The store ports are batch-only so the data phase, tree publish and
 //! descent pay one wire frame per batch instead of one per item. This
 //! bench measures that directly at the port boundary: storing and
 //! fetching a 64-block write's worth of blocks through the
-//! `RpcBlockStore` adapter, once as 64 single-op round trips and once as
-//! one `put_many`/`get_many` per provider — real sockets, real frames,
+//! `RpcBlockStore` adapter, once as 64 batches of one (one round trip
+//! each, what an item-at-a-time caller pays) and once as one
+//! `put_many`/`get_many` per provider — real sockets, real frames,
 //! laptop-scale 4 KB blocks (the round trips under comparison are
 //! size-independent; the paper's 64 MB blocks only add stream time on
 //! both sides).
@@ -51,7 +53,7 @@ fn bench_rpc_batching(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Bytes(BLOCKS * BLOCK_BYTES as u64));
     let mut round = 0u64;
-    g.bench_function("per_op", |b| {
+    g.bench_function("batch_of_one", |b| {
         b.iter(|| {
             round += 1;
             let base = round * 1_000_000;
@@ -99,7 +101,7 @@ fn bench_rpc_batching(c: &mut Criterion) {
     let mut g = c.benchmark_group("rpc_batching/fetch_64_blocks");
     g.sample_size(10);
     g.throughput(Throughput::Bytes(BLOCKS * BLOCK_BYTES as u64));
-    g.bench_function("per_op", |b| {
+    g.bench_function("batch_of_one", |b| {
         b.iter(|| {
             for k in 0..BLOCKS {
                 black_box(store.get(provider_of(k), BlockId::new(base + k)).unwrap());
@@ -122,7 +124,8 @@ fn bench_rpc_batching(c: &mut Criterion) {
     g.finish();
 
     // --- mux pipelining: 1000 simulated client requests, fixed sockets -----
-    // 8 worker threads replay 125 single-block fetches each — 1000
+    // 8 worker threads replay 125 single-block fetches (batches of one)
+    // each — 1000
     // logically independent client requests — through one shared adapter.
     // The budget sweep shows what multiplexing buys: even a single
     // connection carries all 1000 requests concurrently instead of

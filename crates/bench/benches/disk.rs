@@ -2,11 +2,11 @@
 //!
 //! Three questions, measured directly against `blobseer-disk`:
 //!
-//! * what a single-op put/get costs on the needle volume (one frame
-//!   append + index insert, one positioned read) vs the vectored calls
-//!   that amortise the log lock and the write syscall across a batch —
-//!   the same per-op/batched comparison `batching.rs` makes over RPC,
-//!   here without the wire;
+//! * what a batch of one costs on the needle volume (one frame append +
+//!   index insert, one positioned read) vs whole batches that amortise
+//!   the log lock and the write syscall across many items — the same
+//!   batch-of-one/batched comparison `batching.rs` makes over RPC, here
+//!   without the wire;
 //! * the same for the metadata record log behind `DiskMetaStore`; and
 //! * what a cold open costs: `reopen()` drops every in-memory index and
 //!   rebuilds it by replaying the logs, which is the startup price a
@@ -49,7 +49,7 @@ fn bench_disk_volume(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Bytes(BLOCKS * BLOCK_BYTES as u64));
     let mut round = 0u64;
-    g.bench_function("per_op", |b| {
+    g.bench_function("batch_of_one", |b| {
         b.iter(|| {
             round += 1;
             let base = round * 1_000_000;
@@ -85,7 +85,7 @@ fn bench_disk_volume(c: &mut Criterion) {
     let mut g = c.benchmark_group("disk_volume/fetch_64_blocks");
     g.sample_size(10);
     g.throughput(Throughput::Bytes(BLOCKS * BLOCK_BYTES as u64));
-    g.bench_function("per_op", |b| {
+    g.bench_function("batch_of_one", |b| {
         b.iter(|| {
             for &id in &ids {
                 black_box(BlockStore::get(&store, 0, id).unwrap());
@@ -116,7 +116,7 @@ fn bench_disk_meta(c: &mut Criterion) {
     let mut g = c.benchmark_group("disk_meta/publish_64_nodes");
     g.sample_size(10);
     g.throughput(Throughput::Elements(BLOCKS));
-    g.bench_function("per_op", |b| {
+    g.bench_function("batch_of_one", |b| {
         b.iter(|| {
             for (key, node) in &batch {
                 store.put(*key, node.clone()).unwrap();
@@ -135,7 +135,7 @@ fn bench_disk_meta(c: &mut Criterion) {
     let mut g = c.benchmark_group("disk_meta/descend_64_nodes");
     g.sample_size(10);
     g.throughput(Throughput::Elements(BLOCKS));
-    g.bench_function("per_op", |b| {
+    g.bench_function("batch_of_one", |b| {
         b.iter(|| {
             for key in &keys {
                 black_box(store.get(key).unwrap());

@@ -54,30 +54,30 @@
 //! The traits are object-safe by design (`Arc<dyn …>` wiring), so backends
 //! can be chosen at runtime.
 //!
-//! **The vectored methods and the migration path.** The client's hot paths
-//! call the *vectored* store methods — `put_many`/`get_many`/`delete_many`
-//! on [`crate::ports::BlockStore`] (one batch per data provider) and
+//! **The batch methods.** The client's hot paths call the store ports'
+//! batch methods — `put_many`/`get_many`/`delete_many` on
+//! [`crate::ports::BlockStore`] (one batch per data provider) and
 //! [`crate::ports::MetaStore`] (one batch per publish or descent level) —
 //! with per-item `Result`s, so a write's data phase, a publish, a descent
 //! and a GC cascade each cost O(levels + providers) backend calls rather
-//! than O(blocks + nodes). A new adapter does **not** have to implement them:
-//! every vectored method defaults to looping over its single-item
-//! sibling, so step 1 above is still "implement `put`/`get`/`delete`" and
-//! the protocol works immediately, just without amortization. Once the
-//! backend has a cheaper bulk path (a multi-put wire frame, a pipelined
-//! transaction, one lock per batch), override the vectored methods —
-//! keeping two invariants: results come back *per item, in input order*
-//! (a subset may fail while the rest land; decorators rely on this), and
-//! batched semantics must equal the same single ops run in sequence
-//! (`tests/ports_equivalence.rs` has ready-made properties to hold a new
-//! adapter to exactly that).
+//! than O(blocks + nodes). They are the required store methods, so step 1
+//! above is "implement `put_many`/`get_many`/`delete_many`"; the
+//! single-item `put`/`get`/`delete` come for free as batches of one. A
+//! backend with no cheaper bulk path loops over its items inside the
+//! batch method (see [`crate::faults`]); one that has one (a multi-put
+//! wire frame, a pipelined transaction, one lock per batch) uses it. Two
+//! invariants hold either way: results come back *per item, in input
+//! order* (a subset may fail while the rest land; decorators rely on
+//! this), and a batch must answer like the same items stored, fetched or
+//! deleted one at a time (`tests/ports_equivalence.rs` has ready-made
+//! properties to hold a new adapter to exactly that).
 //!
 //! **Worked example: the TCP backend.** The `blobseer-rpc` crate follows
 //! exactly this recipe to take the protocol over real sockets:
 //! `RpcBlockStore`/`RpcMetaStore`/`RpcVersionService` implement the three
 //! traits over a small budget of *multiplexed* TCP connections (one frame
-//! per port call — one per *batch* for the vectored methods, with
-//! per-item status codes; service errors round-trip the wire as their own
+//! per port call — for the store ports one per *batch*, with per-item
+//! status codes; service errors round-trip the wire as their own
 //! [`blobseer_types::Error`] variants), and
 //! `blobseer_rpc::LoopbackCluster::deploy` is nothing more than step
 //! 2 + 3: it fills an [`EnginePorts`] with the RPC adapters and hands it

@@ -18,12 +18,11 @@
 //! Reads, deletes and statistics always pass through, so tests can inspect
 //! the damage with the normal APIs.
 //!
-//! The decorators deliberately keep the *default* vectored implementations
-//! of `put_many`/`get_many`/`delete_many` (looping over the single-item
-//! methods): each item of a batch passes through the fault plan
-//! individually, so a `FailOnce` plan fails exactly the first item of a
-//! batch and lets the rest land — the partial-failure behavior the
-//! vectored API's per-item `Result`s exist for.
+//! `put_many` passes each item of a batch through the fault plan
+//! individually, in input order, so a `FailOnce` plan fails exactly the
+//! first item of the next batch and lets the rest land — the
+//! partial-failure behavior the vectored API's per-item `Result`s exist
+//! for.
 
 use crate::meta::key::NodeKey;
 use crate::meta::node::TreeNode;
@@ -157,42 +156,48 @@ impl BlockStore for FaultyBlockStore {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.inner.index_of_node(node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        match self.plan.current() {
-            PutFault::None => self.inner.put(provider, id, data),
-            PutFault::Drop => {
-                self.plan.dropped.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fault @ (PutFault::Fail | PutFault::FailOnce) => {
-                if fault == PutFault::FailOnce {
-                    self.plan.set(PutFault::None);
+    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
+        items
+            .iter()
+            .map(|(id, data)| {
+                let (id, data) = (*id, data.clone());
+                match self.plan.current() {
+                    PutFault::None => self.inner.put(provider, id, data),
+                    PutFault::Drop => {
+                        self.plan.dropped.fetch_add(1, Ordering::SeqCst);
+                        Ok(())
+                    }
+                    fault @ (PutFault::Fail | PutFault::FailOnce) => {
+                        if fault == PutFault::FailOnce {
+                            self.plan.set(PutFault::None);
+                        }
+                        self.plan.failed.fetch_add(1, Ordering::SeqCst);
+                        Err(Error::WriteAborted(format!(
+                            "injected fault: provider {provider} refused block {id}"
+                        )))
+                    }
+                    PutFault::Delay => {
+                        self.plan.delayed.fetch_add(1, Ordering::SeqCst);
+                        self.delayed.lock().push((provider, id, data));
+                        Ok(())
+                    }
+                    PutFault::Duplicate => {
+                        self.plan.duplicated.fetch_add(1, Ordering::SeqCst);
+                        self.inner.put(provider, id, data.clone())?;
+                        self.inner.put(provider, id, data)
+                    }
                 }
-                self.plan.failed.fetch_add(1, Ordering::SeqCst);
-                Err(Error::WriteAborted(format!(
-                    "injected fault: provider {provider} refused block {id}"
-                )))
-            }
-            PutFault::Delay => {
-                self.plan.delayed.fetch_add(1, Ordering::SeqCst);
-                self.delayed.lock().push((provider, id, data));
-                Ok(())
-            }
-            PutFault::Duplicate => {
-                self.plan.duplicated.fetch_add(1, Ordering::SeqCst);
-                self.inner.put(provider, id, data.clone())?;
-                self.inner.put(provider, id, data)
-            }
-        }
+            })
+            .collect()
     }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.inner.get(provider, id)
+    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
+        self.inner.get_many(provider, ids)
     }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.inner.contains(provider, id)
     }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.inner.delete(provider, id)
+    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
+        self.inner.delete_many(provider, ids)
     }
     fn block_count(&self, provider: usize) -> usize {
         self.inner.block_count(provider)
@@ -236,39 +241,45 @@ impl FaultyMetaStore {
 }
 
 impl MetaStore for FaultyMetaStore {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        match self.plan.current() {
-            PutFault::None => self.inner.put(key, node),
-            PutFault::Drop => {
-                self.plan.dropped.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }
-            fault @ (PutFault::Fail | PutFault::FailOnce) => {
-                if fault == PutFault::FailOnce {
-                    self.plan.set(PutFault::None);
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
+        items
+            .iter()
+            .map(|(key, node)| {
+                let (key, node) = (*key, node.clone());
+                match self.plan.current() {
+                    PutFault::None => self.inner.put(key, node),
+                    PutFault::Drop => {
+                        self.plan.dropped.fetch_add(1, Ordering::SeqCst);
+                        Ok(())
+                    }
+                    fault @ (PutFault::Fail | PutFault::FailOnce) => {
+                        if fault == PutFault::FailOnce {
+                            self.plan.set(PutFault::None);
+                        }
+                        self.plan.failed.fetch_add(1, Ordering::SeqCst);
+                        Err(Error::WriteAborted(format!(
+                            "injected fault: metadata put refused for {key:?}"
+                        )))
+                    }
+                    PutFault::Delay => {
+                        self.plan.delayed.fetch_add(1, Ordering::SeqCst);
+                        self.delayed.lock().push((key, node));
+                        Ok(())
+                    }
+                    PutFault::Duplicate => {
+                        self.plan.duplicated.fetch_add(1, Ordering::SeqCst);
+                        self.inner.put(key, node.clone())?;
+                        self.inner.put(key, node)
+                    }
                 }
-                self.plan.failed.fetch_add(1, Ordering::SeqCst);
-                Err(Error::WriteAborted(format!(
-                    "injected fault: metadata put refused for {key:?}"
-                )))
-            }
-            PutFault::Delay => {
-                self.plan.delayed.fetch_add(1, Ordering::SeqCst);
-                self.delayed.lock().push((key, node));
-                Ok(())
-            }
-            PutFault::Duplicate => {
-                self.plan.duplicated.fetch_add(1, Ordering::SeqCst);
-                self.inner.put(key, node.clone())?;
-                self.inner.put(key, node)
-            }
-        }
+            })
+            .collect()
     }
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        self.inner.get(key)
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+        self.inner.get_many(keys)
     }
-    fn delete(&self, key: &NodeKey) -> bool {
-        self.inner.delete(key)
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
+        self.inner.delete_many(keys)
     }
     fn shard_count(&self) -> usize {
         self.inner.shard_count()

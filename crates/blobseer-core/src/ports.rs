@@ -38,20 +38,20 @@
 //! report where time goes — e.g. the version-manager queueing that bends
 //! Fig. 5 — without the client code knowing it is being simulated.
 //!
-//! The store traits are **vectored**: alongside the single-item methods,
-//! [`BlockStore`] and [`MetaStore`] expose `put_many`/`get_many`/
-//! `delete_many` with per-item `Result`s — batches grouped by data
+//! The store traits are **batch-only**: `put_many`/`get_many`/
+//! `delete_many` are the required methods of [`BlockStore`] and
+//! [`MetaStore`], with per-item `Result`s — batches grouped by data
 //! provider for blocks, a whole new subtree or one descent level for
 //! metadata. The protocol's hot paths issue batches (the §III-D data
 //! phase puts one batch per provider, metadata publish pushes a version's
 //! whole new subtree in one batch, the §III-C descent fetches one batch
 //! per level, GC releases whole cascade waves), so a remote backend pays
 //! O(providers) round trips per write and O(levels + providers) per read
-//! instead of O(blocks + nodes). Every vectored method has a
-//! default implementation looping over its single-item sibling, so
-//! third-party adapters keep working unchanged — native adapters override
-//! them (the lock-striped stores take each stripe's lock once per batch;
-//! `blobseer-rpc` ships one wire frame per batch).
+//! instead of O(blocks + nodes). The single-item `put`/`get`/`delete`
+//! are provided wrappers that pass a batch of one, so every adapter has
+//! exactly one body per store operation (the lock-striped stores take
+//! each stripe's lock once per batch; `blobseer-rpc` ships one wire frame
+//! per batch).
 //!
 //! Everything here is object-safe on purpose (`Arc<dyn …>` wiring): later
 //! PRs can add RPC-backed or async-bridged adapters without touching any
@@ -69,10 +69,21 @@ use blobseer_types::{BlobId, BlockId, Error, NodeId, Result, Version};
 use bytes::Bytes;
 use std::time::Duration;
 
+/// The single result of a batch of one — how the provided single-item
+/// store methods unwrap their batch. A backend that answers a batch of one
+/// with no result at all is broken; that surfaces as an
+/// [`Error::Internal`], never as a panic.
+pub fn one<T>(results: Vec<Result<T>>) -> Result<T> {
+    results
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| Err(Error::Internal("a batch of one came back empty".into())))
+}
+
 /// The data providers of a deployment, addressed by dense provider index
 /// `0..len()` — the index space the provider manager allocates in.
 ///
-/// Blocks are immutable once stored; `put` with an id the provider already
+/// Blocks are immutable once stored; putting an id the provider already
 /// holds must be idempotent for identical content.
 ///
 /// # Example
@@ -103,45 +114,43 @@ pub trait BlockStore: Send + Sync {
     /// Finds the dense index of the provider hosted on `node`, if any.
     fn index_of_node(&self, node: NodeId) -> Option<usize>;
 
-    /// Stores a block on provider `i`.
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()>;
-
-    /// Fetches a block from provider `i` (zero-copy clone).
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes>;
-
     /// True if provider `i` holds the block.
     fn contains(&self, provider: usize, id: BlockId) -> bool;
-
-    /// Deletes a block from provider `i`; returns the bytes freed (0 if
-    /// absent). `Err` means the outcome is *unknown* (e.g. transport loss
-    /// on a remote backend), which callers must not conflate with "absent".
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64>;
 
     /// Stores a batch of blocks on provider `i` — the vectored data phase
     /// (§III-D stores a write's blocks "in parallel"; batching lets remote
     /// backends ship one frame per provider instead of one per block).
     ///
     /// Returns one `Result` per item, in input order: a backend (or fault
-    /// decorator) may fail a subset while the rest land. The default
-    /// implementation loops over [`Self::put`], so existing third-party
-    /// adapters keep working unchanged.
-    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
-        items
-            .iter()
-            .map(|(id, data)| self.put(provider, *id, data.clone()))
-            .collect()
-    }
+    /// decorator) may fail a subset while the rest land.
+    fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>>;
 
-    /// Fetches a batch of blocks from provider `i`, with per-item results
-    /// in input order. Default: loops over [`Self::get`].
-    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>> {
-        ids.iter().map(|&id| self.get(provider, id)).collect()
-    }
+    /// Fetches a batch of blocks from provider `i` (zero-copy clones), with
+    /// per-item results in input order.
+    fn get_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<Bytes>>;
 
     /// Deletes a batch of blocks from provider `i`, returning the bytes
-    /// freed per item in input order. Default: loops over [`Self::delete`].
-    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>> {
-        ids.iter().map(|&id| self.delete(provider, id)).collect()
+    /// freed per item in input order (0 if absent). `Err` means the outcome
+    /// is *unknown* (e.g. transport loss on a remote backend), which
+    /// callers must not conflate with "absent".
+    fn delete_many(&self, provider: usize, ids: &[BlockId]) -> Vec<Result<u64>>;
+
+    /// Stores one block on provider `i`: [`Self::put_many`] with a batch
+    /// of one.
+    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
+        one(self.put_many(provider, &[(id, data)]))
+    }
+
+    /// Fetches one block from provider `i`: [`Self::get_many`] with a
+    /// batch of one.
+    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
+        one(self.get_many(provider, &[id]))
+    }
+
+    /// Deletes one block from provider `i`: [`Self::delete_many`] with a
+    /// batch of one.
+    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
+        one(self.delete_many(provider, &[id]))
     }
 
     /// Number of blocks currently stored on provider `i`.
@@ -206,40 +215,37 @@ pub trait BlockStore: Send + Sync {
 /// assert!(dht.put(key, conflicting).is_err());
 /// ```
 pub trait MetaStore: Send + Sync {
-    /// Stores a node (on all its replicas).
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()>;
+    /// Stores a batch of nodes (each on all its replicas) with per-item
+    /// results in input order — how a writer publishes its version's whole
+    /// new subtree in one call (§III-D publishes a version's nodes in
+    /// parallel). A backend may fail a subset (e.g. a per-item
+    /// [`blobseer_types::Error::MetadataConflict`]) while the rest land.
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>>;
 
-    /// Fetches a node, trying replicas in order.
-    fn get(&self, key: &NodeKey) -> Result<TreeNode>;
+    /// Fetches a batch of nodes, trying replicas in order, with per-item
+    /// results in input order — one call per level of a read's tree
+    /// descent (§III-C fetches the sibling nodes of a level concurrently).
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>>;
 
-    /// Deletes a node from all replicas; true if any replica existed.
-    fn delete(&self, key: &NodeKey) -> bool;
+    /// Deletes a batch of nodes from all replicas; per item, `Ok(true)` if
+    /// any replica existed, `Err` when the outcome is unknown (remote
+    /// backends, a failed log append).
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>>;
 
-    /// Stores a batch of nodes with per-item results in input order — how
-    /// a writer publishes its version's whole new subtree in one call
-    /// (§III-D publishes a version's nodes in parallel). A backend may fail a subset (e.g. a
-    /// per-item [`blobseer_types::Error::MetadataConflict`]) while the
-    /// rest land. Default: loops over [`Self::put`], so third-party
-    /// adapters keep working unchanged.
-    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
-        items
-            .iter()
-            .map(|(key, node)| self.put(*key, node.clone()))
-            .collect()
+    /// Stores one node: [`Self::put_many`] with a batch of one.
+    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
+        one(self.put_many(&[(key, node)]))
     }
 
-    /// Fetches a batch of nodes with per-item results in input order — one
-    /// call per level of a read's tree descent (§III-C fetches the sibling
-    /// nodes of a level concurrently). Default: loops over [`Self::get`].
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        keys.iter().map(|key| self.get(key)).collect()
+    /// Fetches one node: [`Self::get_many`] with a batch of one.
+    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
+        one(self.get_many(std::slice::from_ref(key)))
     }
 
-    /// Deletes a batch of nodes; per item, `Ok(true)` if any replica
-    /// existed, `Err` when the outcome is unknown (remote backends).
-    /// Default: loops over [`Self::delete`].
-    fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
-        keys.iter().map(|key| Ok(self.delete(key))).collect()
+    /// Deletes one node: [`Self::delete_many`] with a batch of one; true
+    /// if any replica existed. An unknown outcome reads as `false`.
+    fn delete(&self, key: &NodeKey) -> bool {
+        matches!(one(self.delete_many(std::slice::from_ref(key))), Ok(true))
     }
 
     /// Stable shard index for client-side fan-out grouping: keys mapping
@@ -472,18 +478,8 @@ impl BlockStore for crate::block_store::ProviderSet {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         crate::block_store::ProviderSet::index_of_node(self, node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.get(provider).put(id, data);
-        Ok(())
-    }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.get(provider).get(id)
-    }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.get(provider).contains(id)
-    }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        Ok(self.get(provider).delete(id))
     }
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         self.get(provider).put_many(items);
@@ -514,15 +510,6 @@ impl BlockStore for crate::block_store::ProviderSet {
 }
 
 impl MetaStore for crate::dht::MetaDht {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        crate::dht::MetaDht::put(self, key, node)
-    }
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        crate::dht::MetaDht::get(self, key)
-    }
-    fn delete(&self, key: &NodeKey) -> bool {
-        crate::dht::MetaDht::delete(self, key)
-    }
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         crate::dht::MetaDht::put_many(self, items)
     }
@@ -687,5 +674,11 @@ mod tests {
         let t = vm.assign(blob, WriteIntent::Append { size: 64 }).unwrap();
         vm.commit(blob, t.version).unwrap();
         assert_eq!(vm.latest(blob).unwrap(), (Version::new(1), 64));
+    }
+
+    #[test]
+    fn a_batch_of_one_unwraps_to_its_item_and_never_panics() {
+        assert_eq!(one(vec![Ok(7u64)]), Ok(7));
+        assert!(matches!(one::<u64>(Vec::new()), Err(Error::Internal(_))));
     }
 }

@@ -126,28 +126,6 @@ impl DiskShard {
         Ok(())
     }
 
-    /// Applies one put under the log lock; counters already bumped.
-    fn put_locked(&self, log: &mut FrameLog, key: NodeKey, node: TreeNode) -> Result<()> {
-        {
-            let table = self.table.read();
-            if let Some(existing) = table.get(&key) {
-                if existing != &node {
-                    return Err(Error::MetadataConflict(format!("{key:?}")));
-                }
-                return Ok(());
-            }
-        }
-        log.append(&encode_put(&key, &node))?;
-        self.table.write().insert(key, node);
-        Ok(())
-    }
-
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        let mut log = self.log.lock();
-        self.put_locked(&mut log, key, node)
-    }
-
     /// Batched put: items land in batch order, fresh records are
     /// written with one `write_all`.
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
@@ -190,36 +168,11 @@ impl DiskShard {
         out
     }
 
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.table
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| Error::MissingMetadata(format!("{key:?}")))
-    }
-
-    fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
+    /// Batched lookup, one memtable read lock; `None` for a missing key.
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<Option<TreeNode>> {
         self.gets.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let table = self.table.read();
-        keys.iter()
-            .map(|key| {
-                table
-                    .get(key)
-                    .cloned()
-                    .ok_or_else(|| Error::MissingMetadata(format!("{key:?}")))
-            })
-            .collect()
-    }
-
-    fn delete(&self, key: &NodeKey) -> Result<bool> {
-        let mut log = self.log.lock();
-        if !self.table.read().contains_key(key) {
-            return Ok(false);
-        }
-        log.append(&encode_tombstone(key))?;
-        self.table.write().remove(key);
-        Ok(true)
+        keys.iter().map(|key| table.get(key).cloned()).collect()
     }
 
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
@@ -320,23 +273,6 @@ impl DiskMetaStore {
 }
 
 impl MetaStore for DiskMetaStore {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        self.shards[self.shard_of(&key)].put(key, node)
-    }
-
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        self.shards[self.shard_of(key)].get(key)
-    }
-
-    fn delete(&self, key: &NodeKey) -> bool {
-        // The trait's single delete is infallible; an append failure here
-        // means the log and memtable could diverge, so treat it as fatal
-        // rather than lie about the outcome.
-        self.shards[self.shard_of(key)]
-            .delete(key)
-            .expect("metadata shard log append failed during delete") // lint:allow(no-unwrap): in-memory delete already applied; diverging is fatal
-    }
-
     fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<Result<()>> {
         let mut out: Vec<Result<()>> = (0..items.len()).map(|_| Ok(())).collect();
         for (shard, range) in group_indices_by(items.iter().map(|(k, _)| k), |k| self.shard_of(k)) {
@@ -348,18 +284,19 @@ impl MetaStore for DiskMetaStore {
         out
     }
 
+    /// The `MissingMetadata` error is built only for keys actually missing.
     fn get_many(&self, keys: &[NodeKey]) -> Vec<Result<TreeNode>> {
-        let mut out: Vec<Result<TreeNode>> = keys
-            .iter()
-            .map(|key| Err(Error::MissingMetadata(format!("{key:?}"))))
-            .collect();
+        let mut found: Vec<Option<TreeNode>> = vec![None; keys.len()];
         for (shard, range) in group_indices_by(keys.iter(), |k| self.shard_of(k)) {
             let group: Vec<NodeKey> = range.iter().map(|&i| keys[i]).collect();
-            for (slot, found) in range.into_iter().zip(self.shards[shard].get_many(&group)) {
-                out[slot] = found;
+            for (slot, node) in range.into_iter().zip(self.shards[shard].get_many(&group)) {
+                found[slot] = node;
             }
         }
-        out
+        keys.iter()
+            .zip(found)
+            .map(|(key, node)| node.ok_or_else(|| Error::MissingMetadata(format!("{key:?}"))))
+            .collect()
     }
 
     fn delete_many(&self, keys: &[NodeKey]) -> Vec<Result<bool>> {
@@ -435,6 +372,30 @@ mod tests {
         ));
         assert_eq!(store.shard_count(), 4);
         assert_eq!(store.node_count(), 1);
+    }
+
+    /// `get_many` builds `MissingMetadata` only for keys actually missing,
+    /// with the same text as before, across shards and in input order.
+    #[test]
+    fn get_many_errors_only_the_missing_keys() {
+        let tmp = TempDir::new("meta-get-many");
+        let store = DiskMetaStore::open(tmp.path(), 4).unwrap();
+        let present: Vec<NodeKey> = (0..8).map(|v| key(v, 0, 1)).collect();
+        for (v, k) in present.iter().enumerate() {
+            store.put(*k, leaf(v as u64)).unwrap();
+        }
+        let missing = key(99, 4, 2);
+        let mut keys = present.clone();
+        keys.insert(3, missing);
+        let results = store.get_many(&keys);
+        assert_eq!(results.len(), keys.len());
+        for (k, result) in keys.iter().zip(&results) {
+            if *k == missing {
+                assert_eq!(result, &Err(Error::MissingMetadata(format!("{missing:?}"))));
+            } else {
+                assert_eq!(result, &Ok(leaf(k.version.raw())));
+            }
+        }
     }
 
     #[test]

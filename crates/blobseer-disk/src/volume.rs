@@ -31,7 +31,7 @@
 //! reopen (they are process-lifetime statistics, not durable state).
 
 use crate::frame::{read_exact_at, FrameLog, MAX_FRAME_PAYLOAD};
-use blobseer_core::ports::BlockStore;
+use blobseer_core::ports::{one, BlockStore};
 use blobseer_types::wire::{WireReader, WireWriter};
 use blobseer_types::{BlockId, Error, NodeId, Result};
 use bytes::Bytes;
@@ -219,27 +219,13 @@ impl DiskVolume {
         Ok(Bytes::from(buf))
     }
 
-    /// Stores a block (idempotent re-puts append nothing).
+    /// Stores one block: [`Self::put_many`] with a batch of one.
     pub fn put(&self, id: BlockId, data: Bytes) -> Result<()> {
-        let mut log = self.log.lock();
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        if let Some(&ext) = self.index.read().get(&id) {
-            self.debug_check_reput(id, ext, &data);
-            return Ok(());
-        }
-        let payload = Self::encode_put(id, &data)?;
-        let payload_off = log.append(&payload)?;
-        let ext = Extent {
-            offset: payload_off + (payload.len() - data.len()) as u64,
-            len: data.len() as u32,
-        };
-        self.index.write().insert(id, ext);
-        self.bytes_stored
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(())
+        one(self.put_many(&[(id, data)]))
     }
 
-    /// Stores a batch with one `write_all` for all new records.
+    /// Stores a batch with one `write_all` for all new records
+    /// (idempotent re-puts append nothing).
     pub fn put_many(&self, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         let mut log = self.log.lock();
         self.puts.fetch_add(items.len() as u64, Ordering::Relaxed);
@@ -296,14 +282,9 @@ impl DiskVolume {
         out
     }
 
-    /// Fetches a block with one positional read.
+    /// Fetches one block: [`Self::get_many`] with a batch of one.
     pub fn get(&self, id: BlockId) -> Result<Bytes> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        let ext = match self.index.read().get(&id) {
-            Some(&ext) => ext,
-            None => return Err(Error::MissingBlock(id.raw())),
-        };
-        self.read_extent(ext)
+        one(self.get_many(&[id]))
     }
 
     /// Fetches a batch: one index pass, then one positional read per hit.
@@ -327,22 +308,14 @@ impl DiskVolume {
         self.index.read().contains_key(&id)
     }
 
-    /// Deletes a block: appends a tombstone, drops the index entry.
-    /// Returns the bytes freed (0 if absent — no tombstone appended).
+    /// Deletes one block: [`Self::delete_many`] with a batch of one.
     pub fn delete(&self, id: BlockId) -> Result<u64> {
-        let mut log = self.log.lock();
-        let ext = match self.index.read().get(&id) {
-            Some(&ext) => ext,
-            None => return Ok(0),
-        };
-        log.append(&Self::encode_tombstone(id))?;
-        self.index.write().remove(&id);
-        self.bytes_stored
-            .fetch_sub(ext.len as u64, Ordering::Relaxed);
-        Ok(ext.len as u64)
+        one(self.delete_many(&[id]))
     }
 
-    /// Deletes a batch with one `write_all` for all tombstones.
+    /// Deletes a batch with one `write_all` for all tombstones: each live
+    /// block gets a tombstone and leaves the index. Returns the bytes
+    /// freed per item (0 if absent — no tombstone appended).
     pub fn delete_many(&self, ids: &[BlockId]) -> Vec<Result<u64>> {
         let mut log = self.log.lock();
         let mut out = vec![Ok(0u64); ids.len()];
@@ -464,17 +437,8 @@ impl BlockStore for DiskProviderSet {
     fn index_of_node(&self, node: NodeId) -> Option<usize> {
         self.volumes.iter().position(|v| v.node() == node)
     }
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.volumes[provider].put(id, data)
-    }
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.volumes[provider].get(id)
-    }
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.volumes[provider].contains(id)
-    }
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.volumes[provider].delete(id)
     }
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         self.volumes[provider].put_many(items)

@@ -12,6 +12,15 @@
 //! arrive out of order, and a blocking call (`wait_revealed`) parks only
 //! its own waiter — never the connection.
 //!
+//! The block and metadata adapters speak only the batch frames
+//! (`PUT_MANY`/`GET_MANY`/`DELETE_MANY`): the store ports are batch-only,
+//! and their single-item `put`/`get`/`delete` are batches of one, so every
+//! store call is one frame (or a few, when a batch outgrows the frame
+//! budget) with a per-item status for each item. `RpcMetaStore` keeps one
+//! override, `delete`, to count a lost batch of one on
+//! `EngineStats::rpc_degraded_diagnostics` rather than report it silently
+//! as "nothing deleted".
+//!
 //! A connection that dies *idle* (server restart) is redialed
 //! transparently on next use: the demux thread observes EOF immediately
 //! and marks the connection dead, so the next call dials afresh instead
@@ -43,7 +52,9 @@ use blobseer_core::gc::GcReport;
 use blobseer_core::meta::key::NodeKey;
 use blobseer_core::meta::log::LogChain;
 use blobseer_core::meta::node::TreeNode;
-use blobseer_core::ports::{BlockStore, GcService, MetaStore, PlacementService, VersionService};
+use blobseer_core::ports::{
+    one, BlockStore, GcService, MetaStore, PlacementService, VersionService,
+};
 use blobseer_core::provider_manager::BlockAllocation;
 use blobseer_core::version_manager::{SnapshotInfo, WriteIntent, WriteTicket};
 use blobseer_core::EngineStats;
@@ -511,37 +522,6 @@ impl BlockStore for RpcBlockStore {
         self.nodes.iter().position(|&n| n == node)
     }
 
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        let (pool, mut req) = self
-            .provider_request(block_tag::PUT, provider)
-            .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
-        req.put_u64(id.raw());
-        req.put_slice(&data);
-        call(pool, req)?;
-        Ok(())
-    }
-
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        let (pool, mut req) = self
-            .provider_request(block_tag::GET, provider)
-            .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
-        req.put_u64(id.raw());
-        let payload = call(pool, req)?;
-        // Zero-copy hand-off: wrap the whole response buffer in `Bytes`
-        // and slice out the block payload, instead of memcpy-ing it —
-        // this is the hot read path.
-        let mut r = payload.reader();
-        let len = r.get_u64()? as usize;
-        if r.remaining() != len {
-            return Err(Error::Transport(format!(
-                "block payload length {len} disagrees with frame ({} bytes left)",
-                r.remaining()
-            )));
-        }
-        let data_start = payload.body.len() - len;
-        Ok(Bytes::from(payload.body).slice(data_start..))
-    }
-
     /// Transport failures degrade to `false` (the port reports presence,
     /// not reachability) — counted on `rpc_degraded_diagnostics`.
     fn contains(&self, provider: usize, id: BlockId) -> bool {
@@ -558,16 +538,6 @@ impl BlockStore for RpcBlockStore {
         }
     }
 
-    /// Transport loss is an `Err`, distinguishable from `Ok(0)` ("absent")
-    /// — the remote outcome of a lost delete is genuinely unknown.
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        let (pool, mut req) = self
-            .provider_request(block_tag::DELETE, provider)
-            .ok_or_else(|| Error::Internal(format!("provider index {provider} out of range")))?;
-        req.put_u64(id.raw());
-        call(pool, req)?.reader().get_u64()
-    }
-
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {
         let Some(&(ei, local)) = self.route.get(provider) else {
             let e = Error::Internal(format!("provider index {provider} out of range"));
@@ -581,8 +551,8 @@ impl BlockStore for RpcBlockStore {
         let mut start = 0;
         while start < items.len() {
             // Greedy chunking: as many blocks per frame as fit the batch
-            // byte budget (always at least one, mirroring the single-put
-            // frame-size envelope).
+            // byte budget (always at least one, so a block larger than
+            // the budget still travels, alone in its frame).
             let mut end = start + 1;
             let mut bytes = items[start].1.len();
             while end < items.len() && bytes + items[end].1.len() <= wire::BATCH_BYTE_BUDGET {
@@ -819,41 +789,6 @@ impl RpcMetaStore {
 }
 
 impl MetaStore for RpcMetaStore {
-    fn put(&self, key: NodeKey, node: TreeNode) -> Result<()> {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::PUT);
-        wire::put_node_key(&mut req, &key);
-        wire::put_tree_node(&mut req, &node);
-        call(&self.pool, req)?;
-        Ok(())
-    }
-
-    fn get(&self, key: &NodeKey) -> Result<TreeNode> {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::GET);
-        wire::put_node_key(&mut req, key);
-        let payload = call(&self.pool, req)?;
-        let mut r = payload.reader();
-        let node = wire::get_tree_node(&mut r)?;
-        r.finish()?;
-        Ok(node)
-    }
-
-    /// Transport failures degrade to `false` (nothing deleted) — counted
-    /// on `rpc_degraded_diagnostics`.
-    fn delete(&self, key: &NodeKey) -> bool {
-        let mut req = WireWriter::new();
-        req.put_u8(meta_tag::DELETE);
-        wire::put_node_key(&mut req, key);
-        match call(&self.pool, req).and_then(|payload| payload.reader().get_bool()) {
-            Ok(existed) => existed,
-            Err(e) => {
-                degraded(&self.stats, "MetaStore::delete", &e);
-                false
-            }
-        }
-    }
-
     /// One frame per batch: how a writer publishes its whole new subtree in
     /// a single round trip. Per-item failures (e.g. a metadata conflict on
     /// one node) come back as that item's own error.
@@ -887,6 +822,20 @@ impl MetaStore for RpcMetaStore {
         self.meta_batched(meta_tag::DELETE_MANY, keys, wire::put_node_key, |r| {
             r.get_bool()
         })
+    }
+
+    /// A batch of one through [`Self::delete_many`]. The port's single
+    /// delete cannot return an unknown outcome, so transport failures
+    /// degrade to `false` (nothing deleted) — counted on
+    /// `rpc_degraded_diagnostics`.
+    fn delete(&self, key: &NodeKey) -> bool {
+        match one(self.delete_many(std::slice::from_ref(key))) {
+            Ok(existed) => existed,
+            Err(e) => {
+                degraded(&self.stats, "MetaStore::delete", &e);
+                false
+            }
+        }
     }
 
     fn shard_count(&self) -> usize {

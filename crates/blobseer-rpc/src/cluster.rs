@@ -106,20 +106,8 @@ impl BlockStore for FannedProviders {
             .position(|s| s.index_of_node(node).is_some())
     }
 
-    fn put(&self, provider: usize, id: BlockId, data: Bytes) -> Result<()> {
-        self.set(provider)?.put(0, id, data)
-    }
-
-    fn get(&self, provider: usize, id: BlockId) -> Result<Bytes> {
-        self.set(provider)?.get(0, id)
-    }
-
     fn contains(&self, provider: usize, id: BlockId) -> bool {
         self.sets.get(provider).is_some_and(|s| s.contains(0, id))
-    }
-
-    fn delete(&self, provider: usize, id: BlockId) -> Result<u64> {
-        self.set(provider)?.delete(0, id)
     }
 
     fn put_many(&self, provider: usize, items: &[(BlockId, Bytes)]) -> Vec<Result<()>> {

@@ -275,7 +275,7 @@ impl RpcServer {
     }
 
     /// Request frames served so far (every dispatched request counts one,
-    /// whether it carried a single operation or a whole batch). With the
+    /// whatever the size of the batch it carried). With the
     /// vectored port API this grows with O(levels + providers) per client
     /// operation, not O(blocks + tree nodes).
     pub fn frames_served(&self) -> u64 {
@@ -512,12 +512,12 @@ fn check_provider(store: &dyn BlockStore, provider: u64) -> Result<usize> {
 }
 
 /// Method tags of the block service (mirrored by `client::RpcBlockStore`).
+/// Tags 1, 2 and 4 must stay unassigned: they carried single-block
+/// put/get/delete, and a frame still carrying one must be refused with an
+/// error, never misread as another method.
 pub(crate) mod block_tag {
     pub const DESCRIBE: u8 = 0;
-    pub const PUT: u8 = 1;
-    pub const GET: u8 = 2;
     pub const CONTAINS: u8 = 3;
-    pub const DELETE: u8 = 4;
     pub const BLOCK_COUNT: u8 = 5;
     pub const BYTES_STORED: u8 = 6;
     pub const OP_COUNTS: u8 = 7;
@@ -538,31 +538,11 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
                 w.put_u64(store.node(i).raw());
             }
         }
-        block_tag::PUT => {
-            let p = r.get_u64()?;
-            let id = BlockId::new(r.get_u64()?);
-            let data = Bytes::copy_from_slice(r.get_slice()?);
-            r.finish()?;
-            store.put(check_provider(store, p)?, id, data)?;
-        }
-        block_tag::GET => {
-            let p = r.get_u64()?;
-            let id = BlockId::new(r.get_u64()?);
-            r.finish()?;
-            let data = store.get(check_provider(store, p)?, id)?;
-            w.put_slice(&data);
-        }
         block_tag::CONTAINS => {
             let p = r.get_u64()?;
             let id = BlockId::new(r.get_u64()?);
             r.finish()?;
             w.put_bool(store.contains(check_provider(store, p)?, id));
-        }
-        block_tag::DELETE => {
-            let p = r.get_u64()?;
-            let id = BlockId::new(r.get_u64()?);
-            r.finish()?;
-            w.put_u64(store.delete(check_provider(store, p)?, id)?);
         }
         block_tag::PUT_MANY => {
             let p = r.get_u64()?;
@@ -595,9 +575,9 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
             // could overshoot the budget by one block and assemble a frame
             // past MAX_FRAME_LEN that the client must reject. The tail is
             // marked DEFERRED for the client to re-request. The first item
-            // always encodes (whatever its size, matching the single-get
-            // frame envelope), so a client loop over deferrals is
-            // guaranteed progress.
+            // always encodes (whatever its size, so a block larger than
+            // the budget still travels, alone in its frame), so a client
+            // loop over deferrals is guaranteed progress.
             let mut included_any = false;
             for result in &results {
                 let projected = w.as_slice().len() + result.as_ref().map_or(0, |d| d.len());
@@ -652,10 +632,10 @@ fn handle_block(store: &dyn BlockStore, body: &[u8]) -> Result<WireWriter> {
 }
 
 /// Method tags of the meta service (mirrored by `client::RpcMetaStore`).
+/// Tags 0, 1 and 2 must stay unassigned: they carried single-node
+/// put/get/delete, and a frame still carrying one must be refused with an
+/// error, never misread as another method.
 pub(crate) mod meta_tag {
-    pub const PUT: u8 = 0;
-    pub const GET: u8 = 1;
-    pub const DELETE: u8 = 2;
     pub const SHARD_COUNT: u8 = 3;
     pub const NODE_COUNT: u8 = 4;
     pub const SHARD_STATS: u8 = 5;
@@ -670,23 +650,6 @@ fn handle_meta(store: &dyn MetaStore, body: &[u8]) -> Result<WireWriter> {
     let tag = r.get_u8()?;
     let mut w = WireWriter::new();
     match tag {
-        meta_tag::PUT => {
-            let key = wire::get_node_key(&mut r)?;
-            let node = wire::get_tree_node(&mut r)?;
-            r.finish()?;
-            store.put(key, node)?;
-        }
-        meta_tag::GET => {
-            let key = wire::get_node_key(&mut r)?;
-            r.finish()?;
-            let node = store.get(&key)?;
-            wire::put_tree_node(&mut w, &node);
-        }
-        meta_tag::DELETE => {
-            let key = wire::get_node_key(&mut r)?;
-            r.finish()?;
-            w.put_bool(store.delete(&key));
-        }
         meta_tag::PUT_MANY => {
             let n = r.get_u64()? as usize;
             let mut items = Vec::with_capacity(n.min(4096));
@@ -1226,5 +1189,55 @@ mod tests {
             );
         }
         refused(&vm, frame(version_tag::ASSIGN, &[1, 1, u64::MAX]));
+    }
+
+    /// The retired single-item tags (block 1, 2, 4; meta 0, 1, 2) are
+    /// unassigned: each answers a frame shaped like its old request with
+    /// an error, never a success. Every request names a stored block or
+    /// node, so the old handlers would have succeeded.
+    #[test]
+    fn retired_single_item_tags_are_refused() {
+        let block = |tag: u8, payload: Option<&[u8]>| {
+            let mut w = WireWriter::new();
+            w.put_u8(tag);
+            w.put_u64(1);
+            w.put_u64(1);
+            if let Some(data) = payload {
+                w.put_slice(data);
+            }
+            w.into_vec()
+        };
+        let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
+        let node = TreeNode::Leaf(BlockDescriptor {
+            block_id: BlockId::new(1),
+            providers: vec![1],
+            len: 64,
+        });
+        let meta = |tag: u8, with_node: bool| {
+            let mut w = WireWriter::new();
+            w.put_u8(tag);
+            wire::put_node_key(&mut w, &key);
+            if with_node {
+                wire::put_tree_node(&mut w, &node);
+            }
+            w.into_vec()
+        };
+        let stored = [7u8; 64];
+        for (kind, request) in [
+            (0, block(1, Some(&stored))),
+            (0, block(2, None)),
+            (0, block(4, None)),
+            (1, meta(0, true)),
+            (1, meta(1, false)),
+            (1, meta(2, false)),
+        ] {
+            let response = dispatch(&service(kind), &request);
+            let err = wire::decode_response(&response).err();
+            assert!(
+                matches!(err, Some(Error::Transport(ref m)) if m.contains("unknown")),
+                "tag {} answered {err:?}",
+                request[0]
+            );
+        }
     }
 }

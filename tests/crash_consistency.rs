@@ -385,10 +385,10 @@ fn unaligned_append_timeout_is_configurable_and_repairs() {
 }
 
 /// Arms a [`FaultPlan`] with [`PutFault::FailOnce`] right before the put
-/// at a chosen index passes through. The decorator keeps the default
-/// `put_many` (one `put` per item, in order), as does the
-/// [`FaultyMetaStore`] under it, so exactly the chosen item of a batch is
-/// refused and every other item lands.
+/// at a chosen index passes through. `put_many` counts down per item and
+/// hands each item to the [`FaultyMetaStore`] under it as a batch of one,
+/// in order, so exactly the chosen item of a batch is refused and every
+/// other item lands.
 struct FailAt {
     inner: Arc<FaultyMetaStore>,
     plan: Arc<FaultPlan>,
@@ -403,17 +403,22 @@ impl FailAt {
 }
 
 impl MetaStore for FailAt {
-    fn put(&self, key: NodeKey, node: TreeNode) -> blobseer_types::Result<()> {
-        if self.countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
-            self.plan.set(PutFault::FailOnce);
-        }
-        self.inner.put(key, node)
+    fn put_many(&self, items: &[(NodeKey, TreeNode)]) -> Vec<blobseer_types::Result<()>> {
+        items
+            .iter()
+            .map(|(key, node)| {
+                if self.countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
+                    self.plan.set(PutFault::FailOnce);
+                }
+                self.inner.put(*key, node.clone())
+            })
+            .collect()
     }
-    fn get(&self, key: &NodeKey) -> blobseer_types::Result<TreeNode> {
-        self.inner.get(key)
+    fn get_many(&self, keys: &[NodeKey]) -> Vec<blobseer_types::Result<TreeNode>> {
+        self.inner.get_many(keys)
     }
-    fn delete(&self, key: &NodeKey) -> bool {
-        self.inner.delete(key)
+    fn delete_many(&self, keys: &[NodeKey]) -> Vec<blobseer_types::Result<bool>> {
+        self.inner.delete_many(keys)
     }
     fn shard_count(&self) -> usize {
         self.inner.shard_count()

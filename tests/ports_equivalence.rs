@@ -11,12 +11,16 @@
 //!    observationally identical to the in-memory one for every op script
 //!    — sizes, versions, bytes read, **and error variants**, which must
 //!    cross the wire as themselves.
-//! 3. **Batched ≡ single-op sequence** (this PR): the vectored port
-//!    methods (`put_many`/`get_many`/`delete_many`) must answer exactly
-//!    like the equivalent sequence of single ops, per item and in input
-//!    order, on every adapter family — in-memory sharded, fault-decorated
-//!    (including partial batch failures via `FailOnce`) and the RPC
-//!    loopback adapters (including per-item conflicts inside one frame).
+//! 3. **Batched ≡ single-op sequence**: the store ports are batch-only
+//!    (`put_many`/`get_many`/`delete_many` are the required methods; the
+//!    single-item forms are batches of one), so the reference is the
+//!    in-memory single-item bodies, `DataProvider::{put, get, delete}`
+//!    and `MetaDht::{put, get, delete}`, which share no code with any
+//!    batch method. Every batch must answer exactly like the equivalent
+//!    sequence of reference ops, per item and in input order, on every
+//!    adapter family — in-memory sharded, fault-decorated (including
+//!    partial batch failures via `FailOnce`) and the RPC loopback
+//!    adapters (including per-item conflicts inside one frame).
 //!
 //! 4. **Cached ≡ uncached** (PR 7): the hot-read LRU decorators
 //!    (`CachedBlockStore`/`CachedMetaStore`) must be observationally
@@ -186,21 +190,29 @@ fn vec_ops() -> impl Strategy<Value = Vec<VecOp>> {
     proptest::collection::vec(op, 1..40)
 }
 
-/// Replays `script` against two identically built stores — one driven
-/// through the vectored methods, one through the equivalent single-op
-/// sequences — and demands identical per-item results and state.
+/// Replays `script` against a store driven through the vectored methods
+/// and against the in-memory reference driven one item at a time through
+/// the inherent `DataProvider::{put, get, delete}` bodies — which share no
+/// code with any batch method — and demands identical per-item results
+/// and state.
+///
+/// With a `plan`, `FailNext` arms `FailOnce` on the batched side's fault
+/// decorator, and the reference models the decorator's contract on its
+/// own: the first put item after arming is refused, every other lands.
 fn assert_block_batches_match_singles(
     script: &[VecOp],
     batched: &dyn BlockStore,
-    sequential: &dyn BlockStore,
-    plans: Option<(&FaultPlan, &FaultPlan)>,
+    reference: &ProviderSet,
+    plan: Option<&FaultPlan>,
 ) {
+    let mut armed = false;
+    let mut refused = 0u64;
     for op in script {
         match op {
             VecOp::FailNext => {
-                if let Some((a, b)) = plans {
-                    a.set(PutFault::FailOnce);
-                    b.set(PutFault::FailOnce);
+                if let Some(plan) = plan {
+                    plan.set(PutFault::FailOnce);
+                    armed = true;
                 }
             }
             VecOp::PutMany { provider, keys } => {
@@ -212,7 +224,16 @@ fn assert_block_batches_match_singles(
                 let a = batched.put_many(p, &items);
                 let b: Vec<_> = items
                     .iter()
-                    .map(|(id, data)| sequential.put(p, *id, data.clone()))
+                    .map(|(id, data)| {
+                        if std::mem::take(&mut armed) {
+                            refused += 1;
+                            return Err(Error::WriteAborted(format!(
+                                "injected fault: provider {p} refused block {id}"
+                            )));
+                        }
+                        reference.get(p).put(*id, data.clone());
+                        Ok(())
+                    })
                     .collect();
                 assert_eq!(a, b, "put_many diverged");
             }
@@ -220,23 +241,26 @@ fn assert_block_batches_match_singles(
                 let p = *provider as usize;
                 let ids: Vec<BlockId> = keys.iter().map(|&k| block_id(*provider, k)).collect();
                 let a = batched.get_many(p, &ids);
-                let b: Vec<_> = ids.iter().map(|&id| sequential.get(p, id)).collect();
+                let b: Vec<_> = ids.iter().map(|&id| reference.get(p).get(id)).collect();
                 assert_eq!(a, b, "get_many diverged");
             }
             VecOp::DeleteMany { provider, keys } => {
                 let p = *provider as usize;
                 let ids: Vec<BlockId> = keys.iter().map(|&k| block_id(*provider, k)).collect();
                 let a = batched.delete_many(p, &ids);
-                let b: Vec<_> = ids.iter().map(|&id| sequential.delete(p, id)).collect();
+                let b: Vec<_> = ids
+                    .iter()
+                    .map(|&id| Ok(reference.get(p).delete(id)))
+                    .collect();
                 assert_eq!(a, b, "delete_many diverged");
             }
         }
-        assert_eq!(batched.total_block_count(), sequential.total_block_count());
-        assert_eq!(
-            batched.total_bytes_stored(),
-            sequential.total_bytes_stored()
-        );
-        assert_eq!(batched.layout_vector(), sequential.layout_vector());
+        assert_eq!(batched.total_block_count(), reference.total_block_count());
+        assert_eq!(batched.total_bytes_stored(), reference.total_bytes_stored());
+        assert_eq!(batched.layout_vector(), reference.layout_vector());
+    }
+    if let Some(plan) = plan {
+        assert_eq!(plan.counters(), (0, refused, 0, 0), "fault traffic");
     }
 }
 
@@ -248,28 +272,23 @@ proptest! {
     #[test]
     fn in_memory_batches_equal_single_op_sequence(script in vec_ops()) {
         let batched = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
-        let sequential = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
-        assert_block_batches_match_singles(&script, &batched, &sequential, None);
+        let reference = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
+        assert_block_batches_match_singles(&script, &batched, &reference, None);
     }
 
-    /// Same through the fault decorators, including partial batch
+    /// Same through the fault decorator, including partial batch
     /// failures: `FailOnce` refuses exactly the first item of the next
-    /// batch on both sides, and the per-item `Result`s line up.
+    /// batch, and the per-item `Result`s line up with the reference.
     #[test]
     fn fault_decorated_batches_equal_single_op_sequence(script in vec_ops()) {
         use blobseer_core::faults::FaultyBlockStore;
-        let plan_a = FaultPlan::new();
-        let plan_b = FaultPlan::new();
+        let plan = FaultPlan::new();
         let batched = FaultyBlockStore::new(
             Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            Arc::clone(&plan_a),
+            Arc::clone(&plan),
         );
-        let sequential = FaultyBlockStore::new(
-            Arc::new(ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32)),
-            Arc::clone(&plan_b),
-        );
-        assert_block_batches_match_singles(&script, &batched, &sequential, Some((&plan_a, &plan_b)));
-        prop_assert_eq!(plan_a.counters(), plan_b.counters(), "identical fault traffic");
+        let reference = ProviderSet::with_shards(2, |i| NodeId::new(i as u64), 32);
+        assert_block_batches_match_singles(&script, &batched, &reference, Some(&plan));
     }
 
     /// Vectored metadata ops ≡ single-op sequences on the DHT, including
@@ -537,7 +556,7 @@ fn rpc_batches_equal_in_memory_per_item() {
     assert_eq!(rpc.get_many(1, &probe), mem.get_many(1, &probe));
     // An out-of-range provider fails every item of the batch on the
     // remote adapter (the in-memory stores treat it as a programmer error
-    // and panic, same as their single-op methods always have).
+    // and panic, same as their inherent single-item methods).
     for a in rpc.get_many(99, &probe) {
         assert!(matches!(a, Err(Error::Internal(_))), "{a:?}");
     }

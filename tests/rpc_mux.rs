@@ -10,10 +10,12 @@
 //! *server* side via its accept counter.
 
 use blobseer_core::block_store::ProviderSet;
-use blobseer_core::ports::BlockStore;
+use blobseer_core::dht::MetaDht;
+use blobseer_core::meta::key::{NodeKey, Pos};
+use blobseer_core::ports::{BlockStore, MetaStore};
 use blobseer_core::{EngineStats, WriteIntent};
-use blobseer_rpc::{LoopbackCluster, RpcBlockStore, RpcServer, RpcService};
-use blobseer_types::{BlobSeerConfig, BlockId, Error, NodeId};
+use blobseer_rpc::{LoopbackCluster, RpcBlockStore, RpcMetaStore, RpcServer, RpcService};
+use blobseer_types::{BlobId, BlobSeerConfig, BlockId, Error, NodeId, Version};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -163,20 +165,29 @@ fn diagnostics_against_a_dead_cluster_degrade_loudly_not_silently() {
         RpcServer::spawn_with(RpcService::Block(Arc::clone(&provider) as _), 2, 16).unwrap();
     let stats = Arc::new(EngineStats::new());
     let store = RpcBlockStore::connect_with(&[server.addr()], Arc::clone(&stats), 1).unwrap();
+    let mut meta_server =
+        RpcServer::spawn_with(RpcService::Meta(Arc::new(MetaDht::new(1, 1))), 2, 16).unwrap();
+    let meta = RpcMetaStore::connect_with(meta_server.addr(), Arc::clone(&stats), 1).unwrap();
     assert_eq!(store.block_count(0), 0);
     assert_eq!(stats.snapshot().rpc_degraded_diagnostics, 0);
 
     server.shutdown();
     drop(server);
+    meta_server.shutdown();
+    drop(meta_server);
     // The port has no error channel for these: they answer their zero
     // defaults, but each degradation is now counted.
     assert!(!store.contains(0, BlockId::new(1)));
     assert_eq!(store.block_count(0), 0);
     assert_eq!(store.bytes_stored(0), 0);
     assert_eq!(store.op_counts(0), (0, 0));
+    // The single metadata delete rides a batch of one, but still cannot
+    // report an unknown outcome: it answers "nothing deleted", counted.
+    let key = NodeKey::new(BlobId::new(1), Version::new(1), Pos::new(0, 1));
+    assert!(!MetaStore::delete(&meta, &key));
     assert_eq!(
         stats.snapshot().rpc_degraded_diagnostics,
-        4,
+        5,
         "every degraded diagnostic answer must be observable on EngineStats"
     );
 }
